@@ -52,15 +52,22 @@ class Sample:
 
     @classmethod
     def from_file(cls, path, col=0):
-        """One value per line; CSV column selectable.  Parse failures
-        name the offending line number."""
+        """One value per line; CSV column selectable.  A first non-empty
+        line none of whose fields is a number is a header and is skipped
+        (``kappadist sample`` writes ``value``).  Parse failures name the
+        offending line number."""
         rows = []
+        first = True
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 fields = line.split(",")
+                if first:
+                    first = False
+                    if not any(_is_number(f) for f in fields):
+                        continue
                 if col >= len(fields):
                     raise DomainError(
                         f"line {lineno}: column {col} missing ({len(fields)} columns)"
@@ -75,6 +82,14 @@ class Sample:
         if not rows:
             raise DomainError(f"{path}: no data rows")
         return cls(np.asarray(rows))
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

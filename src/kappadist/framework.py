@@ -2,8 +2,8 @@
 
 A Distribution exposes pdf/cdf/survival/hazard/quantile/raw_moment/
 descriptive_stats/mode/sample.  Families override what they have in
-closed form; the base class supplies quadrature moments, bracketed
-root-finding quantiles, inverse-transform sampling and the
+closed form; the base class supplies quadrature moments, log-space
+Newton quantiles, inverse-transform sampling and the
 half-line -> real-line symmetrizer.
 
 Parameters are validated at construction and immutable afterwards, so
@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import oracle
 from .core import check_kappa
-from .errors import DomainError, MomentDivergesError
+from .errors import DomainError, MomentDivergesError, NoConvergenceError
 
 __all__ = [
     "Distribution",
@@ -28,18 +27,25 @@ __all__ = [
     "as_generator",
 ]
 
+_QUANTILE_MAX_ITER = 200
+_FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
+_STEP_TOL = 4.0 * np.finfo(float).eps
+
 
 def as_generator(rng):
-    """Accept an integer seed or a numpy Generator; never global state.
+    """Accept a non-negative integer seed (not a bool) or a numpy
+    Generator; never global state.
 
     Integer seeds build a counter-based Philox stream so sampling is
     reproducible and thread independent.
     """
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool) and rng >= 0:
         return np.random.Generator(np.random.Philox(int(rng)))
-    raise DomainError("rng must be an integer seed or a numpy.random.Generator")
+    raise DomainError(
+        "rng must be a non-negative integer seed or a numpy.random.Generator"
+    )
 
 
 @dataclass(frozen=True)
@@ -100,50 +106,83 @@ class Distribution:
         return 1.0
 
     def quantile(self, p):
-        """Inverse cdf.  Scalar p uses brentq on a doubling bracket;
-        array p uses vectorized bisection (cdf must be vectorized)."""
+        """Inverse cdf, by safeguarded Newton iteration on t = log x.
+
+        Below p = 1/2 it solves log cdf(e^t) = log p, above it
+        log survival(e^t) = log1p(-p), so both tails keep their relative
+        precision; p = 0 gives 0.  A 0-d p runs through the same code as
+        an array.  Families with a closed-form inverse override this.
+        Raises DomainError unless 0 <= p < 1, and NoConvergenceError
+        rather than return an unconverged value.
+        """
         parr = np.asarray(p, dtype=float)
-        if np.any((parr < 0.0) | (parr >= 1.0)) or not np.all(np.isfinite(parr)):
+        if not ((parr >= 0.0) & (parr < 1.0)).all():
             raise DomainError("quantile requires 0 <= p < 1")
-        if parr.ndim == 0:
-            return self._quantile_scalar(float(parr))
-        return self._quantile_array(parr)
+        flat = parr.reshape(-1)
+        out = np.zeros(flat.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for side, upper in (((flat > 0.0) & (flat < 0.5), False), (flat >= 0.5, True)):
+                if np.count_nonzero(side):
+                    out[side] = self._solve_quantile(flat[side], upper)
+        return float(out[0]) if parr.ndim == 0 else out.reshape(parr.shape)
 
-    def _quantile_scalar(self, p):
-        if p == 0.0:
-            return 0.0
-        hi = self._quantile_scale()
-        for _ in range(200):
-            if self.cdf(hi) > p:
-                break
-            hi *= 2.0
-        else:
-            raise DomainError(f"could not bracket quantile for p = {p}")
-        return float(
-            optimize.brentq(lambda x: self.cdf(x) - p, 0.0, hi, xtol=1e-300, rtol=1e-15)
+    def _solve_quantile(self, q, upper):
+        """x with survival(x) = 1 - q (upper) or cdf(x) = q, elementwise.
+
+        With F the survival or the cdf, log F(e^t) is monotone in t = log x
+        with slope -/+ x pdf / F, so a Newton step costs one F and one pdf
+        call.  Each element keeps its own bracket in t, opened at the
+        exponential law's quantile at the family's scale and grown
+        geometrically until it holds the root.  A step that is not finite,
+        leaves the bracket or exceeds the growth cap becomes a bisection
+        step (or a growth step while the bracket is open).  An element is
+        done when its step is a few ulp of t, or its bracket is that narrow.
+        """
+        tail_fn = self.survival if upper else self.cdf
+        target = np.log1p(-q) if upper else np.log(q)
+        out = np.empty(q.shape)
+        idx = np.arange(q.size)
+        t = math.log(self._quantile_scale()) + np.log(-np.log1p(-q))
+        lo = np.full(q.shape, -np.inf)
+        hi = np.full(q.shape, np.inf)
+        cap = _FIRST_STEP
+        for _ in range(_QUANTILE_MAX_ITER):
+            x = np.exp(t)
+            # a family call on one 0-d value costs half of a 1-element one
+            xs = x[0] if x.size == 1 else x
+            tail = tail_fn(xs)
+            # r increases with t on both sides
+            r = target - np.log(tail) if upper else np.log(tail) - target
+            np.copyto(lo, t, where=r < 0.0)
+            np.copyto(hi, t, where=r > 0.0)
+            step = r * tail / (xs * self.pdf(xs))  # d(log F)/dt = x pdf / F
+            tn = t - step
+            size = np.abs(step)
+            tol = _STEP_TOL * (np.abs(t) + 1.0)
+            done = size <= tol
+            inside = done | ((tn > lo) & (tn < hi) & (size <= cap))
+            if np.count_nonzero(inside) < inside.size:
+                mid = 0.5 * (lo + hi)
+                grow = np.where(r < 0.0, t + cap, t - cap)
+                tn = np.where(inside, tn, np.where(np.isfinite(mid), mid, grow))
+                done |= hi - lo <= tol
+            cap *= 2.0
+            if np.count_nonzero(done):
+                out[idx[done]] = np.exp(tn[done])
+                keep = ~done
+                if not np.count_nonzero(keep):
+                    return out
+                idx, tn, lo, hi, target = (a[keep] for a in (idx, tn, lo, hi, target))
+            t = tn
+        raise NoConvergenceError(
+            f"quantile solver did not converge in {_QUANTILE_MAX_ITER} iterations"
         )
-
-    def _quantile_array(self, p):
-        hi0 = self._quantile_scale()
-        pmax = float(np.max(p)) if p.size else 0.0
-        for _ in range(2000):
-            if self.cdf(hi0) > pmax:
-                break
-            hi0 *= 2.0
-        lo = np.zeros_like(p)
-        hi = np.full_like(p, hi0)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
 
     def sample(self, size, rng):
         """Inverse-transform i.i.d. draws; rng is caller supplied."""
         gen = as_generator(rng)
-        if not size >= 1:
-            raise DomainError("size must be >= 1")
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise DomainError("size must be an integer >= 1")
         u = gen.random(int(size))
         u[u == 0.0] = 2.0**-64  # symmetrized quantile excludes p = 0
         return self.quantile(u)

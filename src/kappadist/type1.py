@@ -27,6 +27,10 @@ from .framework import Distribution, ModeResult, SymmetrizedDistribution
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
 
+# Below this cdf value KappaErlang's 1 - survival would lose more than
+# 10 bits, so the cdf switches to the incomplete-Beta lower fraction.
+_ERLANG_LOWER_TAIL = 2.0**-10
+
 
 class Type1(Distribution):
     """Deformed Generalized Gamma on x >= 0.
@@ -101,40 +105,49 @@ class Type1(Distribution):
 
     # -- cdf ---------------------------------------------------------------------
 
-    def _upper_fraction(self, y):
-        """(1/M(nu)) * integral_y^inf w^(nu-1) kappa_exp(-w) dw, vectorized."""
-        y = np.asarray(y, dtype=float)
+    def _fraction(self, x, upper):
+        """Share of the law of y = beta x^alpha above y (upper) or below it.
+
+        Where s <= 1/2 the upper share is I_s(a, nu) and the lower one its
+        complement; where s > 1/2 the lower share is I_(1-s)(nu, a), with
+        1 - s = 2 u r exact, and the upper one its complement.  Each side
+        thus keeps its relative precision in its own tail.
+        """
+        x = np.asarray(x, dtype=float)
         k, nu = self.kappa, self.nu
+        with np.errstate(divide="ignore", over="ignore"):
+            y = self.beta * np.power(x, self.alpha)
         if k < KAPPA_SWITCH:
-            out = gammaincc(nu, y)
+            out = gammaincc(nu, y) if upper else gammainc(nu, y)
         else:
-            u = k * y
+            u = np.atleast_1d(k * y)
             with np.errstate(over="ignore"):
-                s = 1.0 / np.square(np.sqrt(1.0 + u * u) + u)
-            s = np.where(np.isinf(y), 0.0, s)
+                r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+            s = np.square(r)
             a = 0.5 / k - 0.5 * nu
             w1 = (a + nu) / (2.0 * a + nu)
             w2 = a / (2.0 * a + nu)
-            out = w1 * betainc(a, nu, s) + w2 * betainc(a + 1.0, nu, s)
-        return out
+            near = s > 0.5
+            n_near = np.count_nonzero(near)
+            out = np.empty_like(s)
+            if n_near < s.size:
+                far = ~near
+                sf = s[far]
+                up = w1 * betainc(a, nu, sf) + w2 * betainc(a + 1.0, nu, sf)
+                out[far] = up if upper else 1.0 - up
+            if n_near:
+                sc = 2.0 * u[near] * r[near]
+                low = w1 * betainc(nu, a, sc) + w2 * betainc(nu, a + 1.0, sc)
+                out[near] = 1.0 - low if upper else low
+            out = out.reshape(y.shape)
+        out = np.clip(out, 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            y = self.beta * np.power(x, self.alpha)
-        up = self._upper_fraction(y)
-        out = up if self.alpha < 0.0 else 1.0 - up
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return self._fraction(x, upper=self.alpha < 0.0)
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            y = self.beta * np.power(x, self.alpha)
-        up = self._upper_fraction(y)
-        out = 1.0 - up if self.alpha < 0.0 else up
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return self._fraction(x, upper=self.alpha > 0.0)
 
     # -- moments --------------------------------------------------------------
 
@@ -304,7 +317,14 @@ class KappaErlang(Type1):
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        out = 1.0 - np.asarray(self.survival(x))
+        x = np.asarray(x, dtype=float)
+        out = np.atleast_1d(1.0 - np.asarray(self.survival(x)))
+        # 1 - survival has only absolute precision; near the origin take
+        # the incomplete-Beta lower fraction, exact in relative terms
+        low = out < _ERLANG_LOWER_TAIL
+        if np.count_nonzero(low):
+            out[low] = super().cdf(np.atleast_1d(x)[low])
+        out = out.reshape(x.shape)
         return float(out) if out.ndim == 0 else out
 
 

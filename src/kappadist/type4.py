@@ -4,8 +4,9 @@ This family is genuinely anchored to kappa > 0: both cdf and pdf
 collapse to zero in the classical limit, so small kappa is rejected at
 construction instead of silently producing a point mass at infinity.
 
-Everything is evaluated through log cdf = (1/k)(log(2u) - arcsinh(u))
-with u = k beta x^alpha, which is exact at both ends of the support.
+Everything is evaluated through log cdf = (1/k) log(1 - r^2) with
+u = k beta x^alpha and r = 1/(u + sqrt(1 + u^2)), which is exact at both
+ends of the support; the same identity inverts the cdf in closed form.
 """
 
 import math
@@ -39,39 +40,45 @@ class Type4(Distribution):
     def get_params(self):
         return {"alpha": self.alpha, "beta": self.beta, "kappa": self.kappa}
 
-    def _logcdf(self, x):
+    def _log_terms(self, x):
+        """r = 1/(u + sqrt(1 + u^2)) with u = k beta x^alpha, and log cdf.
+
+        P^k = 2u r = 1 - r^2: log(2 u r) below u = 1, and log1p(-r^2)
+        above it, where log(2u) - asinh(u) would cancel.  Each element
+        takes one of the two forms.
+        """
         x = np.asarray(x, dtype=float)
-        k = self.kappa
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = k * self.beta * np.power(x, self.alpha)
-            out = (np.log(2.0 * u) - np.arcsinh(u)) / k
-        return np.where(x == 0.0, -np.inf, out)
+            u = self.kappa * self.beta * np.power(x, self.alpha)
+            r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+            far = u >= 1.0
+            log_pk = np.log(2.0 * u * r, where=~far, out=np.empty_like(u))
+            np.log1p(-np.square(r), where=far, out=log_pk)
+        return r, log_pk / self.kappa
 
     def cdf(self, x):
-        out = np.exp(self._logcdf(x))
+        out = np.exp(self._log_terms(x)[1])
         return float(out) if np.ndim(out) == 0 else out
 
     def survival(self, x):
-        out = -np.expm1(self._logcdf(x))
+        out = -np.expm1(self._log_terms(x)[1])
         return float(out) if np.ndim(out) == 0 else out
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        k = self.kappa
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = k * self.beta * np.power(x, self.alpha)
-            root = np.sqrt(1.0 + u * u)
-            # 1 - u/sqrt(1+u^2) = 1/((sqrt(1+u^2) + u) sqrt(1+u^2))
-            log_bracket = -np.log(root + u) - np.log(root)
+        r, log_cdf = self._log_terms(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # pdf = (alpha/k) (P/x) (1 - u/sqrt(1+u^2)), and with
+            # sqrt(1+u^2) = (1/r + r)/2 the bracket is 2 r^2/(1 + r^2)
             out = (
-                math.log(self.alpha / k)
+                math.log(2.0 * self.alpha / self.kappa)
                 - np.log(x)
-                + self._logcdf(x)
-                + log_bracket
+                + log_cdf
+                + 2.0 * np.log(r)
+                - np.log1p(r * r)
             )
-        return np.where(x == 0.0, -np.inf, out) if out.ndim else (
-            -math.inf if float(x) == 0.0 else float(out)
-        )
+        out = np.where(x == 0.0, -np.inf, out)
+        return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):
         out = np.exp(self.logpdf(x))
@@ -111,24 +118,19 @@ class Type4(Distribution):
     def _pdf_singular_power(self):
         return self.alpha / self.kappa - 1.0
 
-    def _quantile_scalar(self, p):
-        if p == 0.0:
-            return 0.0
-        # asymptotic seeds: P ~ (2kb)^(1/k) x^(a/k) near 0 and
-        # 1-P ~ x^(-2a)/(4 k^3 b^2) near infinity
-        a, k, b = self.alpha, self.kappa, self.beta
-        lo = (p**k / (2.0 * k * b)) ** (1.0 / a)
-        hi = (1.0 / (4.0 * k**3 * b * b * (1.0 - p))) ** (0.5 / a)
-        lo, hi = 0.5 * min(lo, hi), 2.0 * max(lo, hi)
-        while self.cdf(lo) > p:
-            lo *= 0.5
-        while self.cdf(hi) < p:
-            hi *= 2.0
-        from scipy import optimize
-
-        return float(
-            optimize.brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-300, rtol=1e-15)
-        )
+    def quantile(self, p):
+        """Exact inverse: with c = p^k = 1 - r^2, r = sqrt(-expm1(k log p))
+        and u = (1/r - r)/2 = c/(2r), the form that keeps both tails exact;
+        then x = (u/(k beta))^(1/alpha)."""
+        parr = np.asarray(p, dtype=float)
+        if np.any((parr < 0.0) | (parr >= 1.0)) or not np.all(np.isfinite(parr)):
+            raise DomainError("quantile requires 0 <= p < 1")
+        k = self.kappa
+        with np.errstate(divide="ignore"):
+            log_c = k * np.log(parr)
+        u = np.exp(log_c) / (2.0 * np.sqrt(-np.expm1(log_c)))
+        out = np.power(u / (k * self.beta), 1.0 / self.alpha)
+        return float(out) if out.ndim == 0 else out
 
     def mode(self):
         return super().mode()  # no printed closed form; numeric argmax

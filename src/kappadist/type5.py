@@ -73,8 +73,20 @@ class Type5(Distribution):
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        out = 1.0 - np.asarray(self.survival(x))
-        return float(out) if np.ndim(out) == 0 else out
+        # -expm1(log survival), the log summed from terms that each keep
+        # relative precision, so the cdf stays exact near the origin
+        x = np.asarray(x, dtype=float)
+        k = self.kappa
+        z = self.beta * x
+        u = k * z
+        log_sf = -z if k == 0.0 else -np.arcsinh(u) / k
+        if self.n == 2:
+            log_sf = log_sf - 0.5 * np.log1p(u * u)
+        elif self.n == 3:
+            # 1/g + k u/g^(3/2) = (1 + k u/sqrt(g))/g, g = 1 + u^2
+            log_sf = log_sf - np.log1p(u * u) + np.log1p(k * u / np.sqrt(1.0 + u * u))
+        out = np.clip(-np.expm1(log_sf), 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):
         x, e, u, g = self._pieces(x)

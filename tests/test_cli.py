@@ -206,6 +206,21 @@ class TestFitAndTail:
         value = float(out.strip().split("\n")[1])
         assert value == pytest.approx(3.0, rel=0.08)
 
+    def test_sample_output_feeds_fit(self, capsys, tmp_path):
+        target = tmp_path / "draws.csv"
+        code, _, _ = invoke(
+            ["sample", "--family", "type2", "--alpha", "2", "--beta", "1",
+             "--kappa", "0.3", "--count", "2000", "--seed", "4",
+             "--out", str(target)],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = invoke(
+            ["fit", "--family", "type2", "--input", str(target)], capsys
+        )
+        assert code == 0
+        assert out.startswith("param,estimate")
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("1.0\nabc\n")

@@ -39,6 +39,17 @@ class TestSample:
         with pytest.raises(DomainError, match="line 2"):
             Sample.from_file(str(f))
 
+    def test_from_file_skips_header(self, tmp_path):
+        f = tmp_path / "draws.csv"
+        f.write_text("value\n1.0\n2.5\n")
+        assert np.array_equal(Sample.from_file(str(f)).values, [1.0, 2.5])
+        f.write_text("\nname,value\na,1.5\nb,x\n")
+        with pytest.raises(DomainError, match="line 4"):
+            Sample.from_file(str(f), col=1)
+        f.write_text("value\n")
+        with pytest.raises(DomainError, match="no data rows"):
+            Sample.from_file(str(f))
+
     def test_from_file_column_selection(self, tmp_path):
         f = tmp_path / "cols.csv"
         f.write_text("a,1.5\nb,2.5\n")

@@ -20,6 +20,20 @@ class TestRng:
         with pytest.raises(DomainError):
             as_generator(None)
 
+    def test_rejects_bool_and_negative_seeds(self):
+        with pytest.raises(DomainError):
+            as_generator(True)
+        with pytest.raises(DomainError):
+            as_generator(-1)
+        assert isinstance(as_generator(np.int32(4)), np.random.Generator)
+
+    def test_sample_size_must_be_an_integer(self):
+        d = Type2(2.0, 1.0, 0.3)
+        for size in (2.5, 3.0, True, 0, -2):
+            with pytest.raises(DomainError):
+                d.sample(size, 1)
+        assert np.array_equal(d.sample(np.int64(3), 5), d.sample(3, 5))
+
     def test_seed_reproducibility(self):
         d = Type2(2.0, 1.0, 0.3)
         a = d.sample(100, 1234)

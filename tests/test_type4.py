@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from kappadist import (
     DegenerateFamilyError,
+    Distribution,
     DomainError,
     MomentDivergesError,
     Type4,
@@ -108,6 +110,35 @@ class TestQuantileAndSampling:
         draws = d.sample(20000, 13)
         assert ks_statistic(draws, d.cdf) < 1.63 / math.sqrt(20000)
 
+    @pytest.mark.parametrize("params", GRID)
+    def test_closed_form_matches_solver(self, params):
+        # the exact inverse against the generic log-space solver
+        d = Type4(*params)
+        ps = np.array([1e-300, 1e-12, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0 - 2.0**-53])
+        np.testing.assert_allclose(d.quantile(ps), Distribution.quantile(d, ps), rtol=1e-13)
+
     def test_mode_is_interior(self):
         res = Type4(1.0, 1.0, 0.5).mode()
         assert res.kind == "interior" and res.x > 0.0
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("kappa", [0.3, 0.9])
+    def test_cdf_monotone_beyond_cancellation_point(self, kappa):
+        d = Type4(1.5, 1.0, kappa)
+        x = np.geomspace(1e2, 1e8, 10**4)
+        assert np.all(np.diff(d.cdf(x)) >= 0.0)
+        assert np.all(np.diff(d.survival(x)) <= 0.0)
+
+    def test_limits_at_infinity(self):
+        d = Type4(1.5, 1.0, 0.5)
+        assert d.cdf(np.inf) == 1.0 and d.survival(np.inf) == 0.0
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.9])
+    def test_survival_against_mpmath(self, kappa):
+        d = Type4(1.5, 1.0, kappa)
+        with mpmath.workdps(50):
+            k = mpmath.mpf(kappa)
+            u = k * mpmath.mpf(10) ** 9  # k beta x^alpha at x = 1e6
+            exact = -mpmath.expm1((mpmath.log(2 * u) - mpmath.asinh(u)) / k)
+            assert d.survival(1e6) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
