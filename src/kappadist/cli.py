@@ -8,18 +8,14 @@ argv (+seed) produce byte-identical output.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from .errors import DomainError, MomentDivergesError, NumericalError
-from .fitting import Sample, fit_mle, tail_index
-from .type1 import Type1
-from .type2 import Type2
-from .type3 import Type3
-from .type4 import Type4
-from .type5 import Type5
+from .fitting import FAMILIES, Sample, fit_mle, tail_index
 
 __all__ = ["main", "run"]
 
@@ -40,8 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_family_flags(p):
-    p.add_argument("--family", required=True,
-                   choices=["type1", "type2", "type3", "type4", "type5"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--nu", type=float)
@@ -85,8 +80,7 @@ def build_parser():
     _add_output_flags(p)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit to a data file")
-    p.add_argument("--family", required=True,
-                   choices=["type1", "type2", "type3", "type4", "type5"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--n", type=int, help="fixed order for type5")
     p.add_argument("--input", required=True)
     p.add_argument("--col", type=int, default=0)
@@ -103,23 +97,14 @@ def build_parser():
 
 
 def _build_distribution(args):
-    need = {
-        "type1": ("alpha", "beta", "nu", "kappa"),
-        "type2": ("alpha", "beta", "kappa"),
-        "type3": ("alpha", "beta", "lam", "kappa"),
-        "type4": ("alpha", "beta", "kappa"),
-        "type5": ("n", "beta", "kappa"),
-    }[args.family]
+    cls = FAMILIES[args.family][0]
     params = {}
-    for name in need:
+    for name in inspect.signature(cls).parameters:
         value = getattr(args, name)
         if value is None:
             raise _Usage(f"--{name} is required for --family {args.family}")
-    for name in need:
-        params[name] = getattr(args, name)
-    ctor = {"type1": Type1, "type2": Type2, "type3": Type3,
-            "type4": Type4, "type5": Type5}[args.family]
-    return ctor(**params), params
+        params[name] = value
+    return cls(**params), params
 
 
 class _Usage(Exception):

@@ -1,4 +1,5 @@
-"""Deformed elementary functions and the master Mellin integral.
+"""Deformed elementary functions, the master Mellin integral and the two
+kernels every family is built from.
 
 Everything in this module is a pure function of its arguments.  The
 deformation parameter ``kappa`` lives in [0, 1); kappa = 0 is the exact
@@ -12,9 +13,8 @@ that arguments of order 1/(2 kappa) never overflow.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
 from scipy.special import erf as _erf
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -22,6 +22,10 @@ from .errors import DomainError
 # O(kappa^2) are evaluated by their classical counterpart: the direct
 # gammaln route would subtract two huge near-equal numbers.
 KAPPA_SWITCH = 1e-4
+
+# Past this u = kappa y the share's s = r^2 is below 2^-1000 (and u*u
+# overflows soon after): the leading incomplete-Beta term is exact there.
+_DEEP_TAIL = 2.0**500
 
 
 def check_kappa(kappa):
@@ -33,36 +37,91 @@ def check_kappa(kappa):
 
 
 def _maybe_item(a):
-    a = np.asarray(a)
-    return float(a) if a.ndim == 0 else a
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(a) if not isinstance(a, np.ndarray) or a.ndim == 0 else a
+
+
+def _log_kexp_neg(y, k):
+    """log kappa_exp(-y) = -arcsinh(k y)/k for a checked k, and -y at k = 0.
+
+    With y = beta x^alpha this is the log of the kappa_exp(-beta x^alpha)
+    every family is built from; it is exact for any magnitude of y.
+    """
+    if k == 0.0:
+        return -y
+    u = k * y
+    if not isinstance(u, np.ndarray):  # a scalar, also from a 0-d y
+        return -np.arcsinh(u) / k
+    # in place: on large arrays each further temporary costs about as
+    # much as the arcsinh itself
+    np.arcsinh(u, out=u)
+    u /= -k
+    return u
+
+
+def _gamma_share(y, nu, k, upper):
+    """Share of the law y^(nu-1) kappa_exp(-y)/M_k(nu) above y (upper) or below it.
+
+    With u = k y, r = 1/(u + sqrt(1 + u^2)) and s = r^2 the change of
+    variables behind the Mellin closed form gives the upper share
+    w1 I_s(a, nu) + w2 I_s(a+1, nu), a = 1/(2k) - nu/2,
+    w1 = (a+nu)/(2a+nu), w2 = a/(2a+nu).  Where s <= 1/2 the lower share
+    is its complement; where s > 1/2 the lower share is
+    w1 I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with 1 - s = 2 u r exact, and
+    the upper one its complement, so each side keeps its relative
+    precision in its own tail.  Past u = 2^500, where s underflows, the
+    leading term s^a/(a B(a, nu)) of I_s(a, nu) is exact and is taken with
+    log s = -2 arcsinh(u).  Below KAPPA_SWITCH the classical regularized
+    Gamma shares are used.
+    """
+    if k < KAPPA_SWITCH:
+        return gammaincc(nu, y) if upper else gammainc(nu, y)
+    u = np.atleast_1d(k * y)
+    with np.errstate(over="ignore"):
+        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+    s = np.square(r)
+    a = 0.5 / k - 0.5 * nu
+    w1 = (a + nu) / (2.0 * a + nu)
+    w2 = a / (2.0 * a + nu)
+    near = s > 0.5
+    n_near = np.count_nonzero(near)
+    out = np.empty_like(s)
+    if n_near < s.size:
+        far = ~near
+        sf = s[far]
+        up = w1 * betainc(a, nu, sf) + w2 * betainc(a + 1.0, nu, sf)
+        out[far] = up if upper else 1.0 - up
+    if n_near:
+        sc = 2.0 * u[near] * r[near]
+        low = w1 * betainc(nu, a, sc) + w2 * betainc(nu, a + 1.0, sc)
+        out[near] = 1.0 - low if upper else low
+    deep = u > _DEEP_TAIL
+    if np.count_nonzero(deep):
+        # replaces the underflowed far values; the w2 term is O(s) smaller
+        log_s = -2.0 * np.arcsinh(u[deep])
+        up = w1 * np.exp(a * log_s - math.log(a) - betaln(a, nu))
+        out[deep] = up if upper else 1.0 - up
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
 
 
 def kappa_exp(x, kappa):
     """Deformed exponential (sqrt(1 + k^2 x^2) + k x)^(1/k).
 
     Reduces to exp(x) at kappa = 0, behaves as |2 k x|^(+-1/k) for
-    x -> +-inf.  Negative arguments are evaluated through the exact
-    reciprocal identity to avoid the cancellation in
-    sqrt(1 + k^2 x^2) - k|x|.
+    x -> +-inf.  Evaluated as exp(arcsinh(k x)/k), which avoids the
+    cancellation in sqrt(1 + k^2 x^2) - k|x| for negative arguments.
     """
     k = check_kappa(kappa)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("kappa_exp requires finite x")
-    if k == 0.0:
-        return _maybe_item(np.exp(x))
-    u = k * np.abs(x)
-    pos = np.exp(np.arcsinh(u) / k)
-    return _maybe_item(np.where(x >= 0, pos, 1.0 / pos))
+    return _maybe_item(np.exp(_log_kexp_neg(-x, k)))
 
 
 def log_kappa_exp(x, kappa):
     """log(kappa_exp(x)) = arcsinh(kappa x)/kappa, stable for any magnitude."""
     k = check_kappa(kappa)
-    x = np.asarray(x, dtype=float)
-    if k == 0.0:
-        return _maybe_item(x + 0.0)
-    return _maybe_item(np.arcsinh(k * x) / k)
+    return _maybe_item(_log_kexp_neg(-np.asarray(x, dtype=float), k))
 
 
 def kappa_log(t, kappa):
@@ -147,36 +206,19 @@ def kappa_erf_prefactor(kappa):
 def kappa_erf(x, kappa):
     """Deformed error function: prefactor * (2/sqrt(pi)) * int_0^x kappa_exp(-t^2) dt.
 
-    Odd in x, saturates at +-1, reduces to erf(x) at kappa = 0.
-    Accepts +-inf.
+    Odd in x, saturates at +-1, reduces to erf(x) at kappa = 0; accepts
+    +-inf and arrays.  With y = t^2 it is sign(x) times the share of the
+    law y^(-1/2) kappa_exp(-y) below x^2 (the Type I cdf at alpha = 2,
+    nu = 1/2), so it keeps its relative precision everywhere.
     """
     k = check_kappa(kappa)
-    xf = float(x)
-    if math.isnan(xf):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
         raise DomainError("kappa_erf requires a non-NaN argument")
     if k == 0.0:
-        return float(_erf(xf))
-    if xf == 0.0:
-        return 0.0
-    c = kappa_erf_prefactor(k) * 2.0 / math.sqrt(math.pi)
-
-    def integrand(t):
-        return kappa_exp(-t * t, k)
-
-    hi = abs(xf)
-    if math.isinf(hi):
-        # tail decays like t^(-2/kappa); split and map the tail
-        head, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
-        tail, _ = integrate.quad(
-            lambda u: integrand(1.0 / u) / (u * u), 0.0, 1.0, limit=200
-        )
-        val = head + tail
-    elif hi <= 1.0:
-        val, _ = integrate.quad(integrand, 0.0, hi, limit=200)
-    else:
-        head, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
-        body, _ = integrate.quad(
-            lambda u: integrand(1.0 / u) / (u * u), 1.0 / hi, 1.0, limit=200
-        )
-        val = head + body
-    return math.copysign(c * val, xf)
+        return _maybe_item(_erf(x))
+    with np.errstate(over="ignore"):
+        share = _gamma_share(x * x, 0.5, k, upper=False)
+    # below |x| = 2^-500, x^2 loses digits while the O(x^3) term is < eps
+    slope = 2.0 / math.sqrt(math.pi) * kappa_erf_prefactor(k)
+    return _maybe_item(np.where(np.abs(x) < 2.0**-500, slope * x, np.sign(x) * share))

@@ -7,6 +7,7 @@ three deterministic kappa seeds guard against the likelihood plateau
 near kappa = 0.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,17 @@ from .type4 import Type4
 from .type5 import Type5
 
 __all__ = ["Sample", "FitResult", "fit_mle", "tail_index"]
+
+# The family registry read by fit_mle and the CLI: name -> (class, floor
+# of kappa in the fitting transform).  Parameter names come from the
+# class's constructor signature.
+FAMILIES = {
+    "type1": (Type1, 0.0),
+    "type2": (Type2, 0.0),
+    "type3": (Type3, 0.0),
+    "type4": (Type4, 2e-3),
+    "type5": (Type5, 0.0),
+}
 
 _KAPPA_CAP = 0.985
 _BOUNDARY = 0.96
@@ -103,16 +115,6 @@ class FitResult:
     trace: tuple = field(default=(), repr=False)
 
 
-# family name -> (constructor, log-transformed positive params, kappa floor)
-_FAMILIES = {
-    "type1": (Type1, ("alpha", "beta", "nu"), 0.0),
-    "type2": (Type2, ("alpha", "beta"), 0.0),
-    "type3": (Type3, ("alpha", "beta", "lam"), 0.0),
-    "type4": (Type4, ("alpha", "beta"), 2e-3),
-    "type5": (Type5, ("beta",), 0.0),
-}
-
-
 def _kappa_to_t(kappa, floor):
     frac = (kappa - floor) / (_KAPPA_CAP - floor)
     frac = min(max(frac, 1e-9), 1.0 - 1e-9)
@@ -158,9 +160,12 @@ def fit_mle(family, sample, init=None, fix_kappa=None):
     profiles out kappa entirely (e.g. fix_kappa=0 gives the classical
     sub-family MLE).  Deterministic given (family, sample, init).
     """
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    ctor, positive, floor = _FAMILIES[family]
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
+    ctor, floor = FAMILIES[family]
+    names = inspect.signature(ctor).parameters
+    # every parameter but kappa and the fixed order n is positive: log coordinates
+    positive = tuple(n for n in names if n not in ("kappa", "n"))
     if not isinstance(sample, Sample):
         sample = Sample(np.asarray(sample, dtype=float))
     v = sample.values
@@ -170,7 +175,7 @@ def fit_mle(family, sample, init=None, fix_kappa=None):
     start = _default_init(family, sample)
     if init:
         start.update(init)
-    fixed = {"n": int(start["n"])} if family == "type5" else {}
+    fixed = {"n": int(start["n"])} if "n" in names else {}
 
     def build(theta):
         params = dict(fixed)

@@ -1,10 +1,13 @@
 """Uniform evaluation contract shared by all five families.
 
-A Distribution exposes pdf/cdf/survival/hazard/quantile/raw_moment/
-descriptive_stats/mode/sample.  Families override what they have in
-closed form; the base class supplies quadrature moments, log-space
-Newton quantiles, inverse-transform sampling and the
-half-line -> real-line symmetrizer.
+A Distribution exposes pdf/logpdf/cdf/survival/hazard/quantile/
+raw_moment/descriptive_stats/mode/sample.  The public evaluation methods
+take a scalar or an array, convert it once and hand an array to the
+family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
+a 0-d result comes back as a Python float.  Families override what they
+have in closed form; the base class supplies the missing one of each
+pair, quadrature moments, log-space Newton quantiles, inverse-transform
+sampling and the half-line -> real-line symmetrizer.
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .core import check_kappa
+from .core import _maybe_item
 from .errors import DomainError, MomentDivergesError, NoConvergenceError
 
 __all__ = [
@@ -79,25 +82,40 @@ class Distribution:
     # -- evaluation surface -------------------------------------------------
 
     def pdf(self, x):
-        raise NotImplementedError
+        return _maybe_item(self._pdf(np.asarray(x, dtype=float)))
 
     def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(x))
-        return out
+        return _maybe_item(self._logpdf(np.asarray(x, dtype=float)))
 
     def cdf(self, x):
-        raise NotImplementedError
+        return _maybe_item(self._cdf(np.asarray(x, dtype=float)))
 
     def survival(self, x):
-        return 1.0 - np.asarray(self.cdf(x), dtype=float)
+        return _maybe_item(self._survival(np.asarray(x, dtype=float)))
 
     def hazard(self, x):
-        s = np.asarray(self.survival(x), dtype=float)
-        p = np.asarray(self.pdf(x), dtype=float)
+        x = np.asarray(x, dtype=float)
+        s = self._survival(x)
+        p = self._pdf(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(s > 0.0, p / s, np.inf)
-        return float(out) if out.ndim == 0 else out
+            return _maybe_item(np.where(s > 0.0, p / s, np.inf))
+
+    # A family writes its density once, in linear (_pdf) or log (_logpdf)
+    # form, and at least one of _cdf and _survival; each takes and returns
+    # float arrays.
+
+    def _pdf(self, x):
+        return np.exp(self._logpdf(x))
+
+    def _logpdf(self, x):
+        with np.errstate(divide="ignore"):
+            return np.log(self._pdf(x))
+
+    def _cdf(self, x):
+        return 1.0 - self._survival(x)
+
+    def _survival(self, x):
+        return 1.0 - self._cdf(x)
 
     # -- quantiles and sampling ---------------------------------------------
 
@@ -106,25 +124,28 @@ class Distribution:
         return 1.0
 
     def quantile(self, p):
+        """Inverse cdf; raises DomainError unless 0 <= p < 1."""
+        parr = np.asarray(p, dtype=float)
+        if not ((parr >= 0.0) & (parr < 1.0)).all():
+            raise DomainError("quantile requires 0 <= p < 1")
+        return _maybe_item(self._quantile(parr))
+
+    def _quantile(self, p):
         """Inverse cdf, by safeguarded Newton iteration on t = log x.
 
         Below p = 1/2 it solves log cdf(e^t) = log p, above it
         log survival(e^t) = log1p(-p), so both tails keep their relative
         precision; p = 0 gives 0.  A 0-d p runs through the same code as
         an array.  Families with a closed-form inverse override this.
-        Raises DomainError unless 0 <= p < 1, and NoConvergenceError
-        rather than return an unconverged value.
+        Raises NoConvergenceError rather than return an unconverged value.
         """
-        parr = np.asarray(p, dtype=float)
-        if not ((parr >= 0.0) & (parr < 1.0)).all():
-            raise DomainError("quantile requires 0 <= p < 1")
-        flat = parr.reshape(-1)
+        flat = p.reshape(-1)
         out = np.zeros(flat.shape)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for side, upper in (((flat > 0.0) & (flat < 0.5), False), (flat >= 0.5, True)):
                 if np.count_nonzero(side):
                     out[side] = self._solve_quantile(flat[side], upper)
-        return float(out[0]) if parr.ndim == 0 else out.reshape(parr.shape)
+        return out.reshape(p.shape)
 
     def _solve_quantile(self, q, upper):
         """x with survival(x) = 1 - q (upper) or cdf(x) = q, elementwise.
@@ -288,29 +309,21 @@ class SymmetrizedDistribution(Distribution):
     def __init__(self, half):
         self.half = half
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * np.asarray(self.half.pdf(np.abs(x)))
-        return float(out) if out.ndim == 0 else out
+    def _pdf(self, x):
+        return 0.5 * self.half._pdf(np.abs(x))
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.half.logpdf(np.abs(x))) - math.log(2.0)
-        return float(out) if out.ndim == 0 else out
+    def _logpdf(self, x):
+        return self.half._logpdf(np.abs(x)) - math.log(2.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 + 0.5 * np.sign(x) * np.asarray(self.half.cdf(np.abs(x)))
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return 0.5 + 0.5 * np.sign(x) * self.half._cdf(np.abs(x))
 
     def quantile(self, p):
         parr = np.asarray(p, dtype=float)
         if np.any((parr <= 0.0) | (parr >= 1.0)):
             raise DomainError("symmetrized quantile requires 0 < p < 1")
-        q = np.abs(2.0 * parr - 1.0)
-        mag = np.asarray(self.half.quantile(q))
-        out = np.where(parr >= 0.5, mag, -mag)
-        return float(out) if out.ndim == 0 else out
+        mag = self.half.quantile(np.abs(2.0 * parr - 1.0))
+        return _maybe_item(np.where(parr >= 0.5, mag, -mag))
 
     def check_moment_order(self, m):
         if m % 2 == 0:

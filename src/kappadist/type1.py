@@ -12,16 +12,17 @@ regularized incomplete Beta functions
     1 - G(y) = w1 I_s(a, nu) + w2 I_s(a+1, nu),
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
-so no quadrature is needed at evaluation time.  alpha < 0 swaps the
-roles of cdf and survival with |N| (the inverse-variable construction).
+(core._gamma_share), so no quadrature is needed at evaluation time.
+alpha < 0 swaps the roles of cdf and survival with |N| (the
+inverse-variable construction).
 """
 
 import math
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincc, gammaln
+from scipy.special import gammaln
 
-from .core import KAPPA_SWITCH, check_kappa, log_mellin_kappa
+from .core import _gamma_share, _log_kexp_neg, check_kappa, log_mellin_kappa
 from .errors import DomainError, MomentDivergesError, VarianceDivergesError
 from .framework import Distribution, ModeResult, SymmetrizedDistribution
 
@@ -69,18 +70,15 @@ class Type1(Distribution):
 
     # -- density ---------------------------------------------------------------
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.kappa
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def _logpdf(self, x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = self.beta * np.power(x, self.alpha)
-            if k == 0.0:
-                tail = -y
-            else:
-                tail = -np.arcsinh(k * y) / k
-            out = self._log_norm + (self.alpha * self.nu - 1.0) * np.log(x) + tail
-        out = np.where(x == 0.0, self._logpdf_at_origin(), out)
-        return float(out) if out.ndim == 0 else out
+            out = (
+                self._log_norm
+                + (self.alpha * self.nu - 1.0) * np.log(x)
+                + _log_kexp_neg(y, self.kappa)
+            )
+        return np.where(x == 0.0, self._logpdf_at_origin(), out)
 
     def _logpdf_at_origin(self):
         a, nu, k = self.alpha, self.nu, self.kappa
@@ -99,55 +97,19 @@ class Type1(Distribution):
             return self._log_norm
         return self._log_norm - (1.0 / k) * math.log(2.0 * k * self.beta)
 
-    def pdf(self, x):
-        out = np.exp(self.logpdf(x))
-        return float(out) if np.ndim(out) == 0 else out
-
     # -- cdf ---------------------------------------------------------------------
 
-    def _fraction(self, x, upper):
-        """Share of the law of y = beta x^alpha above y (upper) or below it.
-
-        Where s <= 1/2 the upper share is I_s(a, nu) and the lower one its
-        complement; where s > 1/2 the lower share is I_(1-s)(nu, a), with
-        1 - s = 2 u r exact, and the upper one its complement.  Each side
-        thus keeps its relative precision in its own tail.
-        """
-        x = np.asarray(x, dtype=float)
-        k, nu = self.kappa, self.nu
+    def _share(self, x, upper):
+        """Share of the law of y = beta x^alpha above y (upper) or below it."""
         with np.errstate(divide="ignore", over="ignore"):
             y = self.beta * np.power(x, self.alpha)
-        if k < KAPPA_SWITCH:
-            out = gammaincc(nu, y) if upper else gammainc(nu, y)
-        else:
-            u = np.atleast_1d(k * y)
-            with np.errstate(over="ignore"):
-                r = 1.0 / (np.sqrt(1.0 + u * u) + u)
-            s = np.square(r)
-            a = 0.5 / k - 0.5 * nu
-            w1 = (a + nu) / (2.0 * a + nu)
-            w2 = a / (2.0 * a + nu)
-            near = s > 0.5
-            n_near = np.count_nonzero(near)
-            out = np.empty_like(s)
-            if n_near < s.size:
-                far = ~near
-                sf = s[far]
-                up = w1 * betainc(a, nu, sf) + w2 * betainc(a + 1.0, nu, sf)
-                out[far] = up if upper else 1.0 - up
-            if n_near:
-                sc = 2.0 * u[near] * r[near]
-                low = w1 * betainc(nu, a, sc) + w2 * betainc(nu, a + 1.0, sc)
-                out[near] = 1.0 - low if upper else low
-            out = out.reshape(y.shape)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _gamma_share(y, self.nu, self.kappa, upper)
 
-    def cdf(self, x):
-        return self._fraction(x, upper=self.alpha < 0.0)
+    def _cdf(self, x):
+        return self._share(x, upper=self.alpha < 0.0)
 
-    def survival(self, x):
-        return self._fraction(x, upper=self.alpha > 0.0)
+    def _survival(self, x):
+        return self._share(x, upper=self.alpha > 0.0)
 
     # -- moments --------------------------------------------------------------
 
@@ -302,30 +264,22 @@ class KappaErlang(Type1):
     def get_params(self):
         return {"n": self.n, "beta": self.beta, "kappa": self.kappa}
 
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
+    def _survival(self, x):
         z = self.beta * x
         k = self.kappa
-        if k == 0.0:
-            e = np.exp(-z)
-        else:
-            e = np.exp(-np.arcsinh(k * z) / k)
         body = self.polynomials.r_value(z) + self.polynomials.q_value(z) * np.sqrt(
             1.0 + (k * z) ** 2
         )
-        out = np.clip(body * e, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.clip(body * np.exp(_log_kexp_neg(z, k)), 0.0, 1.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.atleast_1d(1.0 - np.asarray(self.survival(x)))
+    def _cdf(self, x):
+        out = np.atleast_1d(1.0 - self._survival(x))
         # 1 - survival has only absolute precision; near the origin take
         # the incomplete-Beta lower fraction, exact in relative terms
         low = out < _ERLANG_LOWER_TAIL
         if np.count_nonzero(low):
-            out[low] = super().cdf(np.atleast_1d(x)[low])
-        out = out.reshape(x.shape)
-        return float(out) if out.ndim == 0 else out
+            out[low] = super()._cdf(np.atleast_1d(x)[low])
+        return out.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -337,42 +291,17 @@ class KappaNormal(SymmetrizedDistribution):
     """Deformed Normal on the real line: even pdf proportional to kappa_exp(-beta x^2).
 
     pdf(x) = sqrt(2 beta k / pi) (1 + k/2)
-             Gamma(1/2k + 1/4)/Gamma(1/2k - 1/4) kappa_exp(-beta x^2);
-    the variance is finite only for kappa < 2/3.
+             Gamma(1/2k + 1/4)/Gamma(1/2k - 1/4) kappa_exp(-beta x^2),
+    the symmetrized Type1(2, beta, 1/2, kappa) density; the variance is
+    finite only for kappa < 2/3.
     """
 
     def __init__(self, beta, kappa):
-        self.kappa = check_kappa(kappa)
-        self.beta = float(beta)
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
-        super().__init__(Type1(alpha=2.0, beta=self.beta, nu=0.5, kappa=self.kappa))
-        k = self.kappa
-        if k == 0.0:
-            self._log_pref = 0.5 * math.log(self.beta / math.pi)
-        else:
-            z = 0.5 / k
-            self._log_pref = (
-                0.5 * math.log(2.0 * self.beta * k / math.pi)
-                + math.log1p(0.5 * k)
-                + gammaln(z + 0.25)
-                - gammaln(z - 0.25)
-            )
+        super().__init__(Type1(alpha=2.0, beta=beta, nu=0.5, kappa=kappa))
+        self.beta, self.kappa = self.half.beta, self.half.kappa
 
     def get_params(self):
         return {"beta": self.beta, "kappa": self.kappa}
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.kappa
-        y = self.beta * x * x
-        tail = -y if k == 0.0 else -np.arcsinh(k * y) / k
-        out = self._log_pref + tail
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(self, x):
-        out = np.exp(self.logpdf(x))
-        return float(out) if np.ndim(out) == 0 else out
 
     def variance(self):
         k, b = self.kappa, self.beta

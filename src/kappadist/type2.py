@@ -1,8 +1,10 @@
 """Deformed Weibull family (Type II): survival kappa_exp(-beta x^alpha).
 
-The only family where everything is closed: cdf, hazard, cumulative
-hazard (arcsinh form), quantile, moments, Gini, Lorenz (alpha = 1) and
-mode.  alpha < 0 turns the cdf expression into the survival function.
+Type II is Type III at lambda = 1 and inherits its cdf, survival,
+density, hazard rate, cumulative hazard (arcsinh form) and closed-form
+quantile.  What needs lambda = 1 lives here: the closed hazard, moments
+through the Mellin transform, Gini, Lorenz (alpha = 1) and mode.
+alpha < 0 turns the cdf expression into the survival function.
 """
 
 import math
@@ -10,186 +12,35 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .core import check_kappa, kappa_log, log_mellin_kappa
+from .core import _maybe_item, log_mellin_kappa
 from .errors import DomainError, MomentDivergesError
-from .framework import Distribution, ModeResult
+from .framework import ModeResult
+from .type3 import Type3
 
 __all__ = ["Type2"]
 
 
-class Type2(Distribution):
+class Type2(Type3):
     def __init__(self, alpha, beta, kappa):
-        self.kappa = check_kappa(kappa)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        if self.alpha == 0.0 or not math.isfinite(self.alpha):
-            raise DomainError("alpha must be a finite nonzero real")
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
+        super().__init__(alpha, beta, 1.0, kappa)
 
     def get_params(self):
         return {"alpha": self.alpha, "beta": self.beta, "kappa": self.kappa}
 
-    # -- building blocks ---------------------------------------------------
-
-    def _y(self, x):
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.beta * np.power(np.asarray(x, dtype=float), self.alpha)
-
-    def _exp_my(self, y):
-        """kappa_exp(-y) for y = beta x^alpha >= 0."""
-        k = self.kappa
-        if k == 0.0:
-            return np.exp(-y)
-        return np.exp(-np.arcsinh(k * y) / k)
-
-    def hazard_rate(self, x):
-        """h(x) = alpha beta x^(alpha-1) / sqrt(1 + k^2 beta^2 x^(2 alpha)).
-
-        This is the hazard function for alpha > 0; for alpha < 0 the pdf
-        is |h| kappa_exp(-beta x^alpha) but h/S is no longer the hazard.
-        """
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = self._y(x)
-            u = self.kappa * y
-            out = self.alpha * self.beta * np.power(x, self.alpha - 1.0) / np.sqrt(
-                1.0 + u * u
-            )
-        return float(out) if out.ndim == 0 else out
-
-    def cum_hazard(self, x):
-        """H(x) = arcsinh(kappa beta x^alpha)/kappa; classical limit beta x^alpha.
-
-        Defined for alpha > 0, where survival = exp(-H) exactly.
-        """
-        if self.alpha < 0.0:
-            out = -np.log(np.asarray(self.survival(x), dtype=float))
-            return float(out) if out.ndim == 0 else out
-        y = self._y(x)
-        k = self.kappa
-        out = y if k == 0.0 else np.arcsinh(k * y) / k
-        return float(out) if np.ndim(out) == 0 else out
-
-    # -- evaluation ----------------------------------------------------------
-
-    def survival(self, x):
-        e = self._exp_my(self._y(x))
-        out = 1.0 - e if self.alpha < 0.0 else e
-        return float(out) if np.ndim(out) == 0 else out
-
-    def cdf(self, x):
-        e = self._exp_my(self._y(x))
-        out = e if self.alpha < 0.0 else 1.0 - e
-        return float(out) if np.ndim(out) == 0 else out
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.kappa
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = self._y(x)
-            u = k * y
-            log_h = (
-                math.log(abs(self.alpha) * self.beta)
-                + (self.alpha - 1.0) * np.log(x)
-                - 0.5 * np.log1p(u * u)
-            )
-            tail = -y if k == 0.0 else -np.arcsinh(u) / k
-            out = log_h + tail
-        out = np.where(x == 0.0, self._logpdf_at_origin(), out)
-        return float(out) if out.ndim == 0 else out
-
-    def _logpdf_at_origin(self):
-        a, k = self.alpha, self.kappa
-        if a > 1.0:
-            return -math.inf
-        if a == 1.0:
-            return math.log(self.beta)
-        if a > 0.0:
-            return math.inf
-        # alpha < 0: pdf ~ (|alpha|/k)(2 k beta)^(-1/k) x^(|alpha|/k - 1)
-        if k == 0.0:
-            return -math.inf
-        e0 = abs(a) / k - 1.0
-        if e0 > 0.0:
-            return -math.inf
-        if e0 < 0.0:
-            return math.inf
-        return math.log(abs(a) / k) - (1.0 / k) * math.log(2.0 * k * self.beta)
-
-    def pdf(self, x):
-        out = np.exp(self.logpdf(x))
-        return float(out) if np.ndim(out) == 0 else out
-
     def hazard(self, x):
         if self.alpha < 0.0:
             return super().hazard(x)
-        out = self.hazard_rate(x)
-        return out
-
-    # -- quantile ---------------------------------------------------------------
-
-    def quantile(self, p):
-        parr = np.asarray(p, dtype=float)
-        if np.any((parr < 0.0) | (parr >= 1.0)) or not np.all(np.isfinite(parr)):
-            raise DomainError("quantile requires 0 <= p < 1")
-        if self.alpha > 0.0:
-            # x = (ln_k(1/(1-P)) / beta)^(1/alpha)
-            with np.errstate(divide="ignore"):
-                lk = np.where(parr == 0.0, 0.0, kappa_log(1.0 / (1.0 - parr), self.kappa))
-            out = np.power(lk / self.beta, 1.0 / self.alpha)
-            out = np.where(parr == 0.0, 0.0, out)
-        else:
-            # cdf = kappa_exp(-beta x^alpha) = P  ->  beta x^alpha = -ln_k P
-            with np.errstate(divide="ignore"):
-                lk = np.where(parr == 0.0, np.inf, -kappa_log(np.maximum(parr, 1e-320), self.kappa))
-            out = np.power(lk / self.beta, 1.0 / self.alpha)
-            out = np.where(parr == 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
-
-    def _quantile_scale(self):
-        return self.beta ** (-1.0 / self.alpha)
+        return self.hazard_rate(x)
 
     # -- moments -------------------------------------------------------------------
 
-    def moment_constraint(self):
-        return "m < alpha/kappa"
-
-    def check_moment_order(self, m):
-        r = m / self.alpha
-        # r is the Mellin order of the survival integrand; the integral
-        # near 0 additionally needs r > -1 (only binding for alpha < 0)
-        if not r > -1.0:
-            raise MomentDivergesError("m < |alpha|", f"m/alpha = {r:g} <= -1")
-        if m > 0 and self.kappa > 0.0 and not r < 1.0 / self.kappa:
-            raise MomentDivergesError(
-                self.moment_constraint(),
-                f"alpha/kappa = {self.alpha / self.kappa:g}, got m = {m:g}",
-            )
-
     def raw_moment(self, m):
-        self.check_moment_order(m)
-        if m == 0:
-            return 1.0
         r = m / self.alpha
+        if not r > 0.0:
+            return super().raw_moment(m)
+        self.check_moment_order(m)
         # <x^m> = (m/alpha) beta^(-m/alpha) M_kappa(m/alpha)
-        return (
-            r * math.exp(-r * math.log(self.beta) + log_mellin_kappa(r, self.kappa))
-            if r > 0.0
-            else self._moment_by_quadrature(m)
-        )
-
-    def _pdf_tail_power(self):
-        if self.alpha > 0.0:
-            return None if self.kappa == 0.0 else 1.0 + self.alpha / self.kappa
-        return 1.0 + abs(self.alpha)
-
-    def _pdf_singular_power(self):
-        if self.alpha > 0.0:
-            return self.alpha - 1.0
-        if self.kappa > 0.0:
-            return abs(self.alpha) / self.kappa - 1.0
-        return None
+        return r * math.exp(-r * math.log(self.beta) + log_mellin_kappa(r, self.kappa))
 
     # -- inequality statistics -----------------------------------------------------
 
@@ -232,19 +83,14 @@ class Type2(Distribution):
                 body = np.cosh(k * s) - np.sinh(k * s) / k
             out = 1.0 - (1.0 - parr) * body
         out = np.where(parr == 1.0, 1.0, out)
-        out = np.where(parr == 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return _maybe_item(np.where(parr == 0.0, 0.0, out))
 
     # -- shape ------------------------------------------------------------------------
 
     def mode(self):
         a, b, k = self.alpha, self.beta, self.kappa
-        if a == 1.0:
-            return ModeResult(kind="monotone", pdf_at_origin=b)
-        if 0.0 < a < 1.0:
-            return ModeResult(kind="pole", pdf_at_origin=math.inf)
-        if a < 0.0:
-            return super().mode()  # numeric argmax
+        if not a > 1.0:
+            return super().mode()  # markers at alpha <= 1, numeric argmax for alpha < 0
         if k == 0.0:
             x = b ** (-1.0 / a) * ((a - 1.0) / a) ** (1.0 / a)
             return ModeResult(kind="interior", x=x)

@@ -3,9 +3,13 @@ deformed Logistic.
 
 survival S(x) = lambda E / (1 + (lambda - 1) E) with
 E = kappa_exp(-beta x^alpha); lambda = 1 collapses exactly to Type II,
-0 < lambda < 1 is the bosonic regime, lambda > 1 the fermionic one.
-S obeys dS/dx = -h S (1 - (lambda-1)/lambda S) with the same h and
-cumulative hazard as Type II.
+which is therefore its subclass, 0 < lambda < 1 is the bosonic regime,
+lambda > 1 the fermionic one.  S obeys dS/dx = -h S (1 - (lambda-1)/lambda S)
+with the same h and cumulative hazard as Type II.
+
+Everything is evaluated from log E, so 1 - E = -expm1(log E) keeps its
+relative precision where E is close to 1, and the quantile inverts log E
+with sinh.
 """
 
 import math
@@ -13,7 +17,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import check_kappa, kappa_log
+from .core import _log_kexp_neg, _maybe_item, check_kappa, kappa_log
 from .errors import DomainError, MomentDivergesError
 from .framework import Distribution, ModeResult
 
@@ -41,14 +45,18 @@ class Type3(Distribution):
             "kappa": self.kappa,
         }
 
-    def _E(self, x):
-        """kappa_exp(-beta x^alpha)."""
-        k = self.kappa
+    def _log_e(self, x):
+        """log kappa_exp(-beta x^alpha)."""
         with np.errstate(divide="ignore", over="ignore"):
-            y = self.beta * np.power(np.asarray(x, dtype=float), self.alpha)
-        return np.exp(-y) if k == 0.0 else np.exp(-np.arcsinh(k * y) / k)
+            return _log_kexp_neg(self.beta * np.power(x, self.alpha), self.kappa)
 
     def hazard_rate(self, x):
+        """h(x) = alpha beta x^(alpha-1) / sqrt(1 + k^2 beta^2 x^(2 alpha)).
+
+        This is the Type II hazard function for alpha > 0; for alpha < 0
+        the Type II pdf is |h| kappa_exp(-beta x^alpha) but h/S is no
+        longer the hazard.
+        """
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = self.beta * np.power(x, self.alpha)
@@ -56,58 +64,67 @@ class Type3(Distribution):
             out = self.alpha * self.beta * np.power(x, self.alpha - 1.0) / np.sqrt(
                 1.0 + u * u
             )
-        return float(out) if out.ndim == 0 else out
+        return _maybe_item(out)
 
     def cum_hazard(self, x):
-        """Shared with Type II: arcsinh(kappa beta x^alpha)/kappa."""
-        if self.alpha < 0.0:
-            out = -np.log(np.asarray(self.survival(x), dtype=float))
-            return float(out) if out.ndim == 0 else out
-        k = self.kappa
-        with np.errstate(over="ignore"):
-            y = self.beta * np.power(np.asarray(x, dtype=float), self.alpha)
-        out = y if k == 0.0 else np.arcsinh(k * y) / k
-        return float(out) if np.ndim(out) == 0 else out
-
-    def survival(self, x):
-        e = self._E(x)
-        s = self.lam * e / (1.0 + (self.lam - 1.0) * e)
-        out = 1.0 - s if self.alpha < 0.0 else s
-        return float(out) if np.ndim(out) == 0 else out
-
-    def cdf(self, x):
-        e = self._E(x)
-        c = (1.0 - e) / (1.0 + (self.lam - 1.0) * e)
-        out = 1.0 - c if self.alpha < 0.0 else c
-        return float(out) if np.ndim(out) == 0 else out
-
-    def pdf(self, x):
+        """H(x) = arcsinh(kappa beta x^alpha)/kappa, Type II's; classical
+        limit beta x^alpha.  For alpha < 0 it is -log survival."""
         x = np.asarray(x, dtype=float)
-        e = self._E(x)
+        out = -np.log(self._survival(x)) if self.alpha < 0.0 else -self._log_e(x)
+        return _maybe_item(out)
+
+    # -- evaluation ----------------------------------------------------------
+
+    def _share(self, x, upper):
+        """Share of y = beta x^alpha above y, lambda E/(1 + (lambda-1) E)
+        (upper), or below it, (1 - E)/(1 + (lambda-1) E)."""
+        log_e = self._log_e(x)
+        if self.lam == 1.0:
+            return np.exp(log_e) if upper else -np.expm1(log_e)
+        e = np.exp(log_e)
+        den = 1.0 + (self.lam - 1.0) * e
+        return self.lam * e / den if upper else -np.expm1(log_e) / den
+
+    def _cdf(self, x):
+        return self._share(x, upper=self.alpha < 0.0)
+
+    def _survival(self, x):
+        return self._share(x, upper=self.alpha > 0.0)
+
+    def _logpdf(self, x):
+        # pdf = lambda |h| E / (1 + (lambda-1) E)^2
+        lam, k = self.lam, self.kappa
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            body = (
-                self.lam
-                * np.abs(self.hazard_rate(x))
-                * e
-                / np.square(1.0 + (self.lam - 1.0) * e)
+            y = self.beta * np.power(x, self.alpha)
+            u = k * y
+            log_e = _log_kexp_neg(y, k)
+            out = (
+                math.log(lam * abs(self.alpha) * self.beta)
+                + (self.alpha - 1.0) * np.log(x)
+                - 0.5 * np.log1p(u * u)
+                + log_e
             )
-        out = np.where(x == 0.0, self._pdf_at_origin(), body)
-        return float(out) if out.ndim == 0 else out
+            if lam != 1.0:
+                out -= 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
+        return np.where(x == 0.0, self._logpdf_at_origin(), out)
 
-    def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(x))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _pdf_at_origin(self):
-        a = self.alpha
+    def _logpdf_at_origin(self):
+        a, k = self.alpha, self.kappa
         if a > 1.0:
-            return 0.0
+            return -math.inf
         if a == 1.0:
-            return self.beta / self.lam
+            return math.log(self.beta / self.lam)
         if a > 0.0:
             return math.inf
-        return 0.0 if self.kappa > 0.0 and abs(a) / self.kappa > 1.0 else math.inf
+        # alpha < 0: pdf ~ lambda (|alpha|/k)(2 k beta)^(-1/k) x^(|alpha|/k - 1)
+        if k == 0.0:
+            return -math.inf  # essential zero e^(-beta/x^|alpha|)
+        e0 = abs(a) / k - 1.0
+        if e0 > 0.0:
+            return -math.inf
+        if e0 < 0.0:
+            return math.inf
+        return math.log(self.lam * abs(a) / k) - (1.0 / k) * math.log(2.0 * k * self.beta)
 
     def rate_residual(self, x):
         """Residual of dS/dx + h S (1 - (lambda-1)/lambda S) at x.
@@ -122,33 +139,36 @@ class Type3(Distribution):
         s = self.survival(x)
         return ds + self.hazard_rate(x) * s * (1.0 - (self.lam - 1.0) / self.lam * s)
 
-    def quantile(self, p):
-        parr = np.asarray(p, dtype=float)
-        if np.any((parr < 0.0) | (parr >= 1.0)) or not np.all(np.isfinite(parr)):
-            raise DomainError("quantile requires 0 <= p < 1")
-        lam = self.lam
-        if self.alpha > 0.0:
-            # solve (1 - E)/(1 + (lam-1) E) = p for E
-            e = (1.0 - parr) / (1.0 + (lam - 1.0) * parr)
-        else:
-            # cdf = lam E/(1 + (lam-1) E); solve for E
-            e = parr / (lam - parr * (lam - 1.0))
+    # -- quantile ---------------------------------------------------------------
+
+    def _quantile(self, p):
+        """Closed form: the cdf solved for log E, then y = -ln_k(E) = sinh(-k log E)/k.
+
+        alpha > 0: E = (1 - p)/(1 + (lambda-1) p); alpha < 0:
+        E = p/(1 + (lambda-1)(1 - p)).  Each log is taken through log1p,
+        so both tails keep their relative precision.
+        """
+        lam, k = self.lam, self.kappa
         with np.errstate(divide="ignore", over="ignore"):
-            lk = np.where(
-                e >= 1.0, 0.0, kappa_log(1.0 / np.maximum(e, 1e-320), self.kappa)
-            )
-            out = np.power(lk / self.beta, 1.0 / self.alpha)
-        out = np.where(parr == 0.0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+            if self.alpha > 0.0:
+                log_e = np.log1p(-p) - np.log1p((lam - 1.0) * p)
+            else:
+                log_e = np.log(p) - np.log1p((lam - 1.0) * (1.0 - p))
+            y = -log_e if k == 0.0 else -np.sinh(k * log_e) / k
+            return np.power(y / self.beta, 1.0 / self.alpha)
 
     def _quantile_scale(self):
         return self.beta ** (-1.0 / self.alpha)
+
+    # -- moments -------------------------------------------------------------------
 
     def moment_constraint(self):
         return "m < alpha/kappa"
 
     def check_moment_order(self, m):
         r = m / self.alpha
+        # r is the Mellin order of the survival integrand; the integral
+        # near 0 additionally needs r > -1 (only binding for alpha < 0)
         if not r > -1.0:
             raise MomentDivergesError("m < |alpha|", f"m/alpha = {r:g} <= -1")
         if m > 0 and self.kappa > 0.0 and not r < 1.0 / self.kappa:
@@ -156,13 +176,6 @@ class Type3(Distribution):
                 self.moment_constraint(),
                 f"alpha/kappa = {self.alpha / self.kappa:g}, got m = {m:g}",
             )
-
-    def raw_moment(self, m):
-        # no closed form in general: quadrature with the Type II tail order
-        self.check_moment_order(m)
-        if m == 0:
-            return 1.0
-        return self._moment_by_quadrature(m)
 
     def _pdf_tail_power(self):
         if self.alpha > 0.0:
@@ -175,6 +188,8 @@ class Type3(Distribution):
         if self.kappa > 0.0:
             return abs(self.alpha) / self.kappa - 1.0
         return None
+
+    # -- shape ------------------------------------------------------------------------
 
     def mode(self):
         a = self.alpha
@@ -204,29 +219,20 @@ class KappaLogistic(Distribution):
     def get_params(self):
         return {"beta": self.beta, "kappa": self.kappa, "loc": self.loc}
 
-    def _E(self, x):
-        k = self.kappa
-        z = self.beta * (np.asarray(x, dtype=float) - self.loc)
-        return np.exp(-z) if k == 0.0 else np.exp(-np.arcsinh(k * z) / k)
+    def _cdf(self, x):
+        return 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
 
-    def cdf(self, x):
-        out = 1.0 / (1.0 + self._E(x))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pdf(self, x):
         z = self.beta * (x - self.loc)
-        e = self._E(x)
+        e = np.exp(_log_kexp_neg(z, self.kappa))
         u = self.kappa * z
-        out = self.beta * e / (np.sqrt(1.0 + u * u) * np.square(1.0 + e))
-        return float(out) if out.ndim == 0 else out
+        return self.beta * e / (np.sqrt(1.0 + u * u) * np.square(1.0 + e))
 
     def quantile(self, p):
         parr = np.asarray(p, dtype=float)
         if np.any((parr <= 0.0) | (parr >= 1.0)):
             raise DomainError("quantile requires 0 < p < 1")
-        out = self.loc + kappa_log(parr / (1.0 - parr), self.kappa) / self.beta
-        return float(out) if np.ndim(out) == 0 else out
+        return _maybe_item(self.loc + kappa_log(parr / (1.0 - parr), self.kappa) / self.beta)
 
     def raw_moment(self, m):
         raise DomainError("moments of the full-line logistic are not provided")

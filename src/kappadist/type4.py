@@ -47,7 +47,6 @@ class Type4(Distribution):
         above it, where log(2u) - asinh(u) would cancel.  Each element
         takes one of the two forms.
         """
-        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             u = self.kappa * self.beta * np.power(x, self.alpha)
             r = 1.0 / (np.sqrt(1.0 + u * u) + u)
@@ -56,16 +55,13 @@ class Type4(Distribution):
             np.log1p(-np.square(r), where=far, out=log_pk)
         return r, log_pk / self.kappa
 
-    def cdf(self, x):
-        out = np.exp(self._log_terms(x)[1])
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.exp(self._log_terms(x)[1])
 
-    def survival(self, x):
-        out = -np.expm1(self._log_terms(x)[1])
-        return float(out) if np.ndim(out) == 0 else out
+    def _survival(self, x):
+        return -np.expm1(self._log_terms(x)[1])
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _logpdf(self, x):
         r, log_cdf = self._log_terms(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             # pdf = (alpha/k) (P/x) (1 - u/sqrt(1+u^2)), and with
@@ -77,12 +73,7 @@ class Type4(Distribution):
                 + 2.0 * np.log(r)
                 - np.log1p(r * r)
             )
-        out = np.where(x == 0.0, -np.inf, out)
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(self, x):
-        out = np.exp(self.logpdf(x))
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x == 0.0, -np.inf, out)
 
     def moment_constraint(self):
         return "m < 2*alpha"
@@ -118,19 +109,15 @@ class Type4(Distribution):
     def _pdf_singular_power(self):
         return self.alpha / self.kappa - 1.0
 
-    def quantile(self, p):
+    def _quantile(self, p):
         """Exact inverse: with c = p^k = 1 - r^2, r = sqrt(-expm1(k log p))
         and u = (1/r - r)/2 = c/(2r), the form that keeps both tails exact;
         then x = (u/(k beta))^(1/alpha)."""
-        parr = np.asarray(p, dtype=float)
-        if np.any((parr < 0.0) | (parr >= 1.0)) or not np.all(np.isfinite(parr)):
-            raise DomainError("quantile requires 0 <= p < 1")
         k = self.kappa
         with np.errstate(divide="ignore"):
-            log_c = k * np.log(parr)
+            log_c = k * np.log(p)
         u = np.exp(log_c) / (2.0 * np.sqrt(-np.expm1(log_c)))
-        out = np.power(u / (k * self.beta), 1.0 / self.alpha)
-        return float(out) if out.ndim == 0 else out
+        return np.power(u / (k * self.beta), 1.0 / self.alpha)
 
     def mode(self):
         return super().mode()  # no printed closed form; numeric argmax

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import check_kappa
+from .core import _log_kexp_neg, check_kappa
 from .errors import (
     DomainError,
     MomentDivergesError,
@@ -52,45 +52,34 @@ class Type5(Distribution):
         k, b = self.kappa, self.beta
         return (1.0 - k * k) * b * (-b) ** order
 
-    def _pieces(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_survival(self, x):
+        """log survival, summed from terms that each keep relative precision,
+        so the cdf -expm1(log survival) stays exact near the origin."""
         k = self.kappa
         z = self.beta * x
-        e = np.exp(-z) if k == 0.0 else np.exp(-np.arcsinh(k * z) / k)
+        log_e = _log_kexp_neg(z, k)
+        if self.n == 1 or k == 0.0:
+            return log_e  # the u = k z terms vanish (k z is NaN at k = 0, z = inf)
+        u = k * z
+        with np.errstate(over="ignore"):
+            log_g = np.log1p(u * u)  # g = 1 + u^2
+        if self.n == 2:
+            return log_e - 0.5 * log_g
+        # 1/g + k u/g^(3/2) = (1 + k u/sqrt(g))/g, and u/sqrt(g) =
+        # tanh(arcsinh(u)) = tanh(-k log_e) stays finite at u = inf
+        return log_e - log_g + np.log1p(k * np.tanh(-k * log_e))
+
+    def _survival(self, x):
+        return np.exp(self._log_survival(x))
+
+    def _cdf(self, x):
+        return np.clip(-np.expm1(self._log_survival(x)), 0.0, 1.0)
+
+    def _pdf(self, x):
+        k, b = self.kappa, self.beta
+        z = b * x
         u = k * z
         g = 1.0 + u * u
-        return x, e, u, g
-
-    def survival(self, x):
-        x, e, u, g = self._pieces(x)
-        if self.n == 1:
-            out = e
-        elif self.n == 2:
-            out = e / np.sqrt(g)
-        else:
-            out = e * (1.0 / g + self.kappa * u / np.power(g, 1.5))
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x):
-        # -expm1(log survival), the log summed from terms that each keep
-        # relative precision, so the cdf stays exact near the origin
-        x = np.asarray(x, dtype=float)
-        k = self.kappa
-        z = self.beta * x
-        u = k * z
-        log_sf = -z if k == 0.0 else -np.arcsinh(u) / k
-        if self.n == 2:
-            log_sf = log_sf - 0.5 * np.log1p(u * u)
-        elif self.n == 3:
-            # 1/g + k u/g^(3/2) = (1 + k u/sqrt(g))/g, g = 1 + u^2
-            log_sf = log_sf - np.log1p(u * u) + np.log1p(k * u / np.sqrt(1.0 + u * u))
-        out = np.clip(-np.expm1(log_sf), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def pdf(self, x):
-        x, e, u, g = self._pieces(x)
-        k, b = self.kappa, self.beta
         if self.n == 1:
             body = 1.0 / np.sqrt(g)
         elif self.n == 2:
@@ -101,13 +90,7 @@ class Type5(Distribution):
                 + 3.0 * k * u / np.square(g)
                 + 3.0 * k * k * u * u / np.power(g, 2.5)
             )
-        out = b * e * body
-        return float(out) if out.ndim == 0 else out
-
-    def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            out = np.log(self.pdf(x))
-        return float(out) if np.ndim(out) == 0 else out
+        return b * np.exp(_log_kexp_neg(z, k)) * body
 
     def tail_exponent(self):
         """pdf ~ x^(-n - 1/kappa) for x -> inf."""

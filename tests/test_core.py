@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,3 +157,49 @@ class TestKappaErf:
         xs = np.linspace(-3, 3, 13)
         vals = [kappa_erf(float(x), k) for x in xs]
         assert np.all(np.diff(vals) > 0)
+
+
+def _mp_kappa_erf(x, kappa):
+    """50-digit quadrature of prefactor (2/sqrt(pi)) int_0^x kappa_exp(-t^2) dt."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(kappa)
+        z = 1 / (2 * k)
+        c = (1 + k / 2) * mpmath.sqrt(2 * k) * mpmath.gamma(z + mpmath.mpf(1) / 4)
+        c = c / mpmath.gamma(z - mpmath.mpf(1) / 4) * 2 / mpmath.sqrt(mpmath.pi)
+        f = lambda t: mpmath.exp(-mpmath.asinh(k * t * t) / k)
+        x = mpmath.mpf(x)
+        return float(c * mpmath.quad(f, [0, 1, x] if x > 1 else [0, x]))
+
+
+class TestKappaErfExact:
+    """kappa_erf is the exact Type I share at alpha = 2, nu = 1/2."""
+
+    @pytest.mark.parametrize(
+        "x, k", [(1e4, 0.7), (1e3, 0.95), (1e2, 0.9), (1e5, 0.99), (0.5, 1e-4), (2.0, 1e-4)]
+    )
+    def test_against_mpmath(self, x, k):
+        expect = _mp_kappa_erf(x, k)
+        assert kappa_erf(x, k) == pytest.approx(expect, rel=4e-15, abs=0.0)
+        assert kappa_erf(-x, k) == pytest.approx(-expect, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1e-4, 0.3, 0.99])
+    def test_limits_without_warnings(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kappa_erf(math.inf, k) == 1.0
+            assert kappa_erf(-math.inf, k) == -1.0
+            assert kappa_erf(1e300, k) == 1.0
+
+    def test_array_and_nan(self):
+        xs = np.array([-2.0, 0.0, 0.4, math.inf])
+        got = kappa_erf(xs, 0.4)
+        assert got.shape == xs.shape
+        for x, g in zip(xs, got):
+            assert g == kappa_erf(float(x), 0.4)
+        # where x^2 underflows the value is the slope at the origin times x
+        slope = 2.0 / math.sqrt(math.pi) * kappa_erf_prefactor(0.4)
+        assert kappa_erf(-1e-200, 0.4) == pytest.approx(-slope * 1e-200, rel=1e-15)
+        with pytest.raises(DomainError):
+            kappa_erf(math.nan, 0.4)
+        with pytest.raises(DomainError):
+            kappa_erf(np.array([0.1, math.nan]), 0.4)

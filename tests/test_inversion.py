@@ -117,7 +117,16 @@ class TestRoundTrip:
 
 
 class TestExtremeTailAndScalarPath:
-    FAMILIES = [Type1(1.5, 1.0, 1.0, 0.9), Type4(1.5, 1.0, 0.5), Type5(3, 1.0, 0.9), KappaErlang(1, 1.0, 0.9)]
+    FAMILIES = [
+        Type1(1.5, 1.0, 1.0, 0.9),
+        Type4(1.5, 1.0, 0.5),
+        Type5(3, 1.0, 0.9),
+        KappaErlang(1, 1.0, 0.9),
+        Type2(1.5, 1.0, 0.3),
+        Type2(-1.5, 1.0, 0.9),
+        Type3(1.5, 1.0, 2.0, 0.9),
+        Type3(-1.5, 1.0, 0.5, 0.3),
+    ]
     PS = np.array([1e-300, 2.0**-64, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0**-53])
 
     @pytest.mark.parametrize("d", FAMILIES, ids=repr)

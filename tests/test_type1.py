@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaincc, gammaln
@@ -206,3 +207,38 @@ class TestKappaNormal:
     def test_variance_divergence(self):
         with pytest.raises(VarianceDivergesError):
             KappaNormal(1.0, 0.7).variance()
+
+
+def _mp_upper_share(nu, kappa, y):
+    """50-digit share of y = beta x^alpha above y, from an exact s."""
+    with mpmath.workdps(50):
+        k, nu, y = mpmath.mpf(kappa), mpmath.mpf(nu), mpmath.mpf(y)
+        s = 1 / (k * y + mpmath.sqrt(1 + (k * y) ** 2)) ** 2
+        a = 1 / (2 * k) - nu / 2
+        w1, w2 = (a + nu) / (2 * a + nu), a / (2 * a + nu)
+        return float(
+            w1 * mpmath.betainc(a, nu, 0, s, regularized=True)
+            + w2 * mpmath.betainc(a + 1, nu, 0, s, regularized=True)
+        )
+
+
+class TestDeepTail:
+    """Past u = kappa beta x^alpha ~ 1e154 the share comes from log s."""
+
+    @pytest.mark.parametrize("x", [1e-103, 1e-110, 1e-150])
+    def test_alpha_negative_cdf_against_mpmath(self, x):
+        d = Type1(-1.5, 1.0, 1.0, 0.95)
+        expect = _mp_upper_share(1.0, 0.95, mpmath.mpf(x) ** -1.5)
+        assert d.cdf(x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert d.survival(x) == pytest.approx(1.0 - expect, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e103, 1e110])
+    def test_alpha_positive_survival_against_mpmath(self, x):
+        d = Type1(1.5, 1.0, 0.8, 0.95)
+        expect = _mp_upper_share(0.8, 0.95, mpmath.mpf(x) ** 1.5)
+        assert d.survival(x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_quantile_lands_on_the_cdf(self):
+        d = Type1(-1.5, 1.0, 1.0, 0.95)
+        for p in (1e-9, 1e-10):
+            assert d.cdf(d.quantile(p)) == pytest.approx(p, rel=1e-12, abs=0.0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -132,3 +133,50 @@ class TestKappaLogistic:
     def test_moments_not_provided(self):
         with pytest.raises(DomainError):
             KappaLogistic(1.0, 0.3).raw_moment(1)
+
+
+def _mp_log_e(x, alpha, beta, kappa):
+    """50-digit log kappa_exp(-beta x^alpha)."""
+    k, y = mpmath.mpf(kappa), mpmath.mpf(beta) * mpmath.mpf(x) ** alpha
+    return -y if k == 0 else -mpmath.asinh(k * y) / k
+
+
+class TestTailsFromLogE:
+    """Type III (and Type II = Type III at lambda = 1) evaluated from log E
+    keep relative precision where E is close to 0 or 1; 50-digit mpmath."""
+
+    def test_type2_cdf_near_origin(self):
+        with mpmath.workdps(50):
+            expect = float(-mpmath.expm1(_mp_log_e(1e-12, 1.5, 1.0, 0.3)))
+        assert Type2(1.5, 1.0, 0.3).cdf(1e-12) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_type2_alpha_negative_survival_far_out(self):
+        with mpmath.workdps(50):
+            expect = float(-mpmath.expm1(_mp_log_e(1e8, -1.5, 1.0, 0.3)))
+        assert Type2(-1.5, 1.0, 0.3).survival(1e8) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_type3_alpha_negative_cdf_near_origin(self):
+        with mpmath.workdps(50):
+            e = mpmath.exp(_mp_log_e(1e-3, -1.5, 1.0, 0.3))
+            expect = float(2 * e / (1 + e))
+        assert Type3(-1.5, 1.0, 2.0, 0.3).cdf(1e-3) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_pdf_at_origin_limits(self):
+        assert Type3(-1.0, 1.0, 2.0, 0.0).pdf(0.0) == 0.0  # essential zero
+        # alpha < 0, |alpha| = kappa: lambda (|alpha|/k) (2 k beta)^(-1/k) = 2
+        assert Type3(-0.5, 1.0, 2.0, 0.5).pdf(0.0) == pytest.approx(2.0, rel=1e-15)
+
+    def test_logpdf_far_tail(self):
+        x, a, b, lam, k = 1e60, 1.5, 1.0, 2.0, 0.3
+        with mpmath.workdps(50):
+            le = _mp_log_e(x, a, b, k)
+            u = k * b * mpmath.mpf(x) ** a
+            expect = float(
+                mpmath.log(lam * a * b)
+                + (a - 1) * mpmath.log(x)
+                - mpmath.log(mpmath.sqrt(1 + u * u))
+                + le
+                - 2 * mpmath.log1p((lam - 1) * mpmath.exp(le))
+            )
+        got = Type3(a, b, lam, k).logpdf(x)
+        assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-13)

@@ -144,3 +144,12 @@ class TestShapeAndSampling:
         d = Type5(3, 1.0, 0.3)
         draws = d.sample(20000, 17)
         assert ks_statistic(draws, d.cdf) < 1.63 / math.sqrt(20000)
+
+
+class TestLimitsAtInfinity:
+    @pytest.mark.parametrize("n, k", [(3, 0.4), (3, 0.9), (1, 0.0), (2, 0.0), (3, 0.0)])
+    def test_cdf_and_survival_at_inf(self, n, k):
+        d = Type5(n, 1.3, k)
+        assert d.cdf(math.inf) == 1.0
+        assert d.survival(math.inf) == 0.0
+        np.testing.assert_array_equal(d.cdf(np.array([0.0, math.inf])), [0.0, 1.0])
