@@ -78,7 +78,9 @@ class Type1(Distribution):
                 + (self.alpha * self.nu - 1.0) * np.log(x)
                 + _log_kexp_neg(y, self.kappa)
             )
-        return np.where(x == 0.0, self._logpdf_at_origin(), out)
+        # the pdf vanishes as x -> inf for every admissible (alpha, nu, kappa),
+        # where the terms above can read 0 * inf or inf - inf
+        return np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
 
     def _logpdf_at_origin(self):
         a, nu, k = self.alpha, self.nu, self.kappa

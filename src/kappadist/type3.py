@@ -79,8 +79,6 @@ class Type3(Distribution):
         """Share of y = beta x^alpha above y, lambda E/(1 + (lambda-1) E)
         (upper), or below it, (1 - E)/(1 + (lambda-1) E)."""
         log_e = self._log_e(x)
-        if self.lam == 1.0:
-            return np.exp(log_e) if upper else -np.expm1(log_e)
         e = np.exp(log_e)
         den = 1.0 + (self.lam - 1.0) * e
         return self.lam * e / den if upper else -np.expm1(log_e) / den
@@ -103,10 +101,10 @@ class Type3(Distribution):
                 + (self.alpha - 1.0) * np.log(x)
                 - 0.5 * np.log1p(u * u)
                 + log_e
+                - 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
             )
-            if lam != 1.0:
-                out -= 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
-        return np.where(x == 0.0, self._logpdf_at_origin(), out)
+        # the pdf vanishes as x -> inf, where the terms above read inf - inf
+        return np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
 
     def _logpdf_at_origin(self):
         a, k = self.alpha, self.kappa

@@ -242,3 +242,22 @@ class TestDeepTail:
         d = Type1(-1.5, 1.0, 1.0, 0.95)
         for p in (1e-9, 1e-10):
             assert d.cdf(d.quantile(p)) == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
+class TestDensityAtInfinity:
+    """The density is 0 at infinity; the log form must not read 0 * inf
+    (KappaNormal: alpha nu - 1 = 0) or inf - inf (alpha nu > 1)."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [KappaNormal(1.0, 0.3), Type1(2.5, 1.0, 0.5, 0.3), Type1(1.0, 1.0, 2.0, 0.3),
+         KappaErlang(2, 1.0, 0.3)],
+        ids=repr,
+    )
+    def test_pdf_zero_logpdf_minus_inf(self, d):
+        ends = [-np.inf, np.inf] if d.support_real_line else [np.inf]
+        for x in ends:
+            assert d.pdf(x) == 0.0
+            assert d.logpdf(x) == -np.inf
+        assert np.array_equal(d.pdf(np.array(ends)), np.zeros(len(ends)))
+        assert np.array_equal(d.logpdf(np.array(ends)), np.full(len(ends), -np.inf))

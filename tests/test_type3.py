@@ -180,3 +180,9 @@ class TestTailsFromLogE:
             )
         got = Type3(a, b, lam, k).logpdf(x)
         assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [Type2(1.5, 1.0, 0.3), Type3(1.5, 1.0, 2.0, 0.3)], ids=repr)
+    def test_density_at_infinity(self, d):
+        assert d.pdf(np.inf) == 0.0
+        assert d.logpdf(np.inf) == -np.inf
+        assert np.array_equal(d.logpdf(np.array([np.inf, np.inf])), [-np.inf, -np.inf])
