@@ -6,26 +6,29 @@ deformation parameter ``kappa`` lives in [0, 1); kappa = 0 is the exact
 classical limit (ordinary exp/log/erf/Gamma) and is always handled by a
 dedicated branch so no formula ever divides by kappa = 0.
 
-All Gamma-function ratios are computed as exp of gammaln differences so
-that arguments of order 1/(2 kappa) never overflow.
+The Mellin transform M_k(r) of kappa_exp(-x) is Gamma(r) times a ratio
+of Gamma functions at arguments of order 1/(2 kappa); that ratio is
+taken in a Stirling form whose terms are all of order r, so it keeps its
+relative precision for every kappa > 0, however small.
 """
 
 import math
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
+from scipy.special import betainc, betaln, gammainc, gammaincc
 from scipy.special import erf as _erf
 
 from .errors import DomainError
 
-# Below this kappa, quantities whose deformed/classical difference is
-# O(kappa^2) are evaluated by their classical counterpart: the direct
-# gammaln route would subtract two huge near-equal numbers.
+# Below this kappa the Type I shares are the classical regularized Gamma
+# shares; their deformed/classical difference is O(kappa^2).
 KAPPA_SWITCH = 1e-4
 
 # Past this u = kappa y the share's s = r^2 is below 2^-1000 (and u*u
 # overflows soon after): the leading incomplete-Beta term is exact there.
 _DEEP_TAIL = 2.0**500
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def check_kappa(kappa):
@@ -156,6 +159,37 @@ def kappa_exp_tail_exponent(kappa, sign):
     return exponent, (2.0 * k) ** exponent
 
 
+def _stirling_rest(x):
+    """lnGamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)] for x > 0, of order 1/(12 x)."""
+    if x < 30.0:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    y = 1.0 / (x * x)  # the Stirling series; its next term is below 1e-19 here
+    return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y * (1.0 / 1680 - y / 1188)))) / x
+
+
+def _log_mellin_ratio(r, k):
+    """log(M_k(r)/Gamma(r)) = -(r+1) log 2k + lnGamma(1/2k - r/2) - lnGamma(1/2k + 1 + r/2).
+
+    Analytic in r on -2 - 1/k < r < 1/k (through r = 0, -1, -2, where it
+    is 0), and 0 at k = 0.  With a = 1/2k - r/2 and b = 1/2k + 1 + r/2
+    Stirling's formula turns it into
+    (1+r)(1 - log1p(k (2+r))) + (a - 1/2) log1p(-(1+r)/b) + rest(a) - rest(b),
+    whose terms are of order r instead of 1/k, so the O(k^2 r^3) result
+    keeps its relative precision as k -> 0.  The caller checks the range.
+    """
+    if k == 0.0:
+        return 0.0
+    z = 0.5 / k
+    a = z - 0.5 * r
+    b = z + 1.0 + 0.5 * r
+    return (
+        (1.0 + r) * (1.0 - math.log1p(k * (2.0 + r)))
+        + (a - 0.5) * math.log1p(-(1.0 + r) / b)
+        + _stirling_rest(a)
+        - _stirling_rest(b)
+    )
+
+
 def log_mellin_kappa(r, kappa):
     """log of the Mellin transform of kappa_exp(-x), order r.
 
@@ -170,17 +204,7 @@ def log_mellin_kappa(r, kappa):
         raise DomainError(
             f"Mellin transform diverges: requires r < 1/kappa = {1.0 / k:g}, got r = {r:g}"
         )
-    if k < KAPPA_SWITCH:
-        # classical limit; relative error is O(kappa^2)
-        return float(gammaln(r))
-    z = 0.5 / k
-    return float(
-        -r * math.log(2.0 * k)
-        - math.log1p(k * r)
-        + gammaln(z - 0.5 * r)
-        - gammaln(z + 0.5 * r)
-        + gammaln(r)
-    )
+    return _log_mellin_ratio(r, k) + math.lgamma(r)
 
 
 def mellin_kappa(r, kappa):
@@ -191,16 +215,10 @@ def mellin_kappa(r, kappa):
 def kappa_erf_prefactor(kappa):
     """Normalization constant of the deformed error function.
 
-    (1 + kappa/2) sqrt(2 kappa) Gamma(1/2k + 1/4)/Gamma(1/2k - 1/4);
-    tends to 1 as kappa -> 0.
+    (1 + kappa/2) sqrt(2 kappa) Gamma(1/2k + 1/4)/Gamma(1/2k - 1/4), which
+    is Gamma(1/2)/M_k(1/2); tends to 1 as kappa -> 0.
     """
-    k = check_kappa(kappa)
-    if k == 0.0:
-        return 1.0
-    z = 0.5 / k
-    return (1.0 + 0.5 * k) * math.sqrt(2.0 * k) * math.exp(
-        gammaln(z + 0.25) - gammaln(z - 0.25)
-    )
+    return math.exp(-_log_mellin_ratio(0.5, check_kappa(kappa)))
 
 
 def kappa_erf(x, kappa):

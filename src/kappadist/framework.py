@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle
 from .core import _maybe_item
-from .errors import DomainError, MomentDivergesError, NoConvergenceError
+from .errors import DomainError, MomentDivergesError, NoConvergenceError, VarianceDivergesError
 
 __all__ = [
     "Distribution",
@@ -271,6 +271,10 @@ class Distribution:
         return self.raw_moment(1)
 
     def variance(self):
+        try:
+            self.check_moment_order(2)
+        except MomentDivergesError as exc:
+            raise VarianceDivergesError(exc.constraint, "the variance needs m = 2") from exc
         m1 = self.raw_moment(1)
         return self.raw_moment(2) - m1 * m1
 

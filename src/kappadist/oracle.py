@@ -72,9 +72,11 @@ def integrate_semiaxis(
     singular_power s with f ~ x**s as x -> 0 and -1 < s < 0; the head is
                    then computed under x = t**(1/(1+s)), which flattens
                    the singularity exactly.
-    tail_power     a with f ~ x**-a as x -> inf and a > 1; the mapped
-                   tail integrand u**(a-2) is flattened by a further
-                   power substitution.
+    tail_power     a with f ~ x**-a as x -> inf; for 1 < a < 2 the
+                   mapped tail integrand u**(a-2) is singular at u = 0
+                   and is flattened by a further power substitution.
+                   For a >= 2 it is not singular and the substitution,
+                   t = u**(a-1), would under- or overflow at large a.
 
     Raises NoConvergenceError if the combined error estimate exceeds
     tol * max(1, |value|) or the evaluation budget runs out.
@@ -104,7 +106,7 @@ def integrate_semiaxis(
         def mapped(u):
             return g(1.0 / u) / (u * u)
 
-        if tail_power is not None and tail_power > 1.0:
+        if tail_power is not None and 1.0 < tail_power < 2.0:
             # u = t**q with q = 1/(a-1) turns u**(a-2) du into dt
             q = 1.0 / (tail_power - 1.0)
             t_hi = u_hi ** (1.0 / q)

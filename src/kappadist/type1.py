@@ -20,10 +20,9 @@ inverse-variable construction).
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import _gamma_share, _log_kexp_neg, check_kappa, log_mellin_kappa
-from .errors import DomainError, MomentDivergesError, VarianceDivergesError
+from .errors import DomainError, MomentDivergesError
 from .framework import Distribution, ModeResult, SymmetrizedDistribution
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
@@ -129,8 +128,6 @@ class Type1(Distribution):
 
     def raw_moment(self, m):
         self.check_moment_order(m)
-        if m == 0:
-            return 1.0
         r = self.nu + m / self.alpha
         return math.exp(
             -(m / self.alpha) * math.log(self.beta)
@@ -269,10 +266,17 @@ class KappaErlang(Type1):
     def _survival(self, x):
         z = self.beta * x
         k = self.kappa
-        body = self.polynomials.r_value(z) + self.polynomials.q_value(z) * np.sqrt(
-            1.0 + (k * z) ** 2
-        )
-        return np.clip(body * np.exp(_log_kexp_neg(z, k)), 0.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = self.polynomials.r_value(z) + self.polynomials.q_value(z) * np.sqrt(
+                1.0 + (k * z) ** 2
+            )
+            out = np.atleast_1d(np.clip(body * np.exp(_log_kexp_neg(z, k)), 0.0, 1.0))
+        # where the body overflows (inf * 0 at x = inf) take the
+        # incomplete-Beta upper fraction
+        far = np.atleast_1d(np.isinf(body) | (x == np.inf))
+        if np.count_nonzero(far):
+            out[far] = super()._survival(np.atleast_1d(x)[far])
+        return out.reshape(x.shape)
 
     def _cdf(self, x):
         out = np.atleast_1d(1.0 - self._survival(x))
@@ -294,8 +298,8 @@ class KappaNormal(SymmetrizedDistribution):
 
     pdf(x) = sqrt(2 beta k / pi) (1 + k/2)
              Gamma(1/2k + 1/4)/Gamma(1/2k - 1/4) kappa_exp(-beta x^2),
-    the symmetrized Type1(2, beta, 1/2, kappa) density; the variance is
-    finite only for kappa < 2/3.
+    the symmetrized Type1(2, beta, 1/2, kappa) density, whose moments it
+    takes; the variance is finite only for kappa < 2/3.
     """
 
     def __init__(self, beta, kappa):
@@ -304,18 +308,3 @@ class KappaNormal(SymmetrizedDistribution):
 
     def get_params(self):
         return {"beta": self.beta, "kappa": self.kappa}
-
-    def variance(self):
-        k, b = self.kappa, self.beta
-        if k == 0.0:
-            return 0.5 / b
-        if not k < 2.0 / 3.0:
-            raise VarianceDivergesError(
-                "kappa < 2/3", f"kappa = {k:g} makes the second moment diverge"
-            )
-        z = 0.5 / k
-        ratio_sq = math.exp(2.0 * (gammaln(z + 0.25) - gammaln(z - 0.25)))
-        return (1.0 / b) * ((2.0 + k) / (2.0 - k)) * (4.0 * k / (4.0 - 9.0 * k * k)) * ratio_sq
-
-    def mean(self):
-        return 0.0

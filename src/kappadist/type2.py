@@ -3,16 +3,16 @@
 Type II is Type III at lambda = 1 and inherits its cdf, survival,
 density, hazard rate, cumulative hazard (arcsinh form) and closed-form
 quantile.  What needs lambda = 1 lives here: the closed hazard, moments
-through the Mellin transform, Gini, Lorenz (alpha = 1) and mode.
+through the Mellin transform (either sign of alpha), Gini, Lorenz
+(alpha = 1) and mode.
 alpha < 0 turns the cdf expression into the survival function.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import _maybe_item, log_mellin_kappa
+from .core import _log_mellin_ratio, _maybe_item
 from .errors import DomainError, MomentDivergesError
 from .framework import ModeResult
 from .type3 import Type3
@@ -35,32 +35,37 @@ class Type2(Type3):
     # -- moments -------------------------------------------------------------------
 
     def raw_moment(self, m):
-        r = m / self.alpha
-        if not r > 0.0:
-            return super().raw_moment(m)
+        """<x^m> = Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha.
+
+        Y = beta x^alpha has survival (alpha > 0) or cdf (alpha < 0)
+        kappa_exp(-y), so <x^m> = beta^(-r) <Y^r>, and <Y^r> is the Mellin
+        transform of the Type II_1 density, r M_k(r), continued to every
+        r > -1 of the window, either sign of alpha.
+        """
         self.check_moment_order(m)
-        # <x^m> = (m/alpha) beta^(-m/alpha) M_kappa(m/alpha)
-        return r * math.exp(-r * math.log(self.beta) + log_mellin_kappa(r, self.kappa))
+        r = m / self.alpha
+        return math.exp(
+            math.lgamma(1.0 + r) - r * math.log(self.beta) + _log_mellin_ratio(r, self.kappa)
+        )
 
     # -- inequality statistics -----------------------------------------------------
 
     def gini(self):
-        """Closed-form Gini coefficient; needs a finite first moment (alpha > kappa)."""
+        """Closed-form Gini coefficient 1 - <min(X1, X2)>/<x>; needs the mean (alpha > kappa).
+
+        min(X1, X2) has survival E^2 = kappa_exp_(k/2)(-2 beta x^alpha), the
+        Type II law at (2 beta, k/2), so with r = 1/alpha the ratio of the
+        means is 2^-r M_(k/2)(r)/M_k(r).
+        """
         a, k = self.alpha, self.kappa
         if a < 0.0:
             raise DomainError("Gini closed form requires alpha > 0")
-        if k == 0.0:
-            return 1.0 - 2.0 ** (-1.0 / a)
-        if not a > k:
+        if k > 0.0 and not a > k:
             raise MomentDivergesError("m < alpha/kappa", "Gini needs the mean: alpha > kappa")
-        c = 0.5 / a
-        term = math.exp(
-            gammaln(1.0 / k - c)
-            - gammaln(1.0 / k + c)
-            + gammaln(0.5 / k + c)
-            - gammaln(0.5 / k - c)
+        r = 1.0 / a
+        return -math.expm1(
+            _log_mellin_ratio(r, 0.5 * k) - _log_mellin_ratio(r, k) - r * math.log(2.0)
         )
-        return 1.0 - (a + k) / (a + 0.5 * k) * term
 
     def lorenz(self, p):
         """Closed Lorenz curve, available for alpha = 1 only.

@@ -93,13 +93,15 @@ class Type3(Distribution):
         # pdf = lambda |h| E / (1 + (lambda-1) E)^2
         lam, k = self.lam, self.kappa
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = self.beta * np.power(x, self.alpha)
-            u = k * y
-            log_e = _log_kexp_neg(y, k)
+            log_e = _log_kexp_neg(self.beta * np.power(x, self.alpha), k)
+            # log sqrt(1 + u^2), u = k beta x^alpha, is log cosh(a) with
+            # a = arcsinh(u) = -k log E: finite where u*u would overflow
+            a = -k * log_e
+            log_cosh = a - np.log1p(np.tanh(a)) if k > 0.0 else 0.0
             out = (
                 math.log(lam * abs(self.alpha) * self.beta)
                 + (self.alpha - 1.0) * np.log(x)
-                - 0.5 * np.log1p(u * u)
+                - log_cosh
                 + log_e
                 - 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
             )
@@ -221,10 +223,13 @@ class KappaLogistic(Distribution):
         return 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
 
     def _pdf(self, x):
-        z = self.beta * (x - self.loc)
-        e = np.exp(_log_kexp_neg(z, self.kappa))
-        u = self.kappa * z
-        return self.beta * e / (np.sqrt(1.0 + u * u) * np.square(1.0 + e))
+        # E(z) E(-z) = 1 makes the density even in z; at |z| it is 0, not
+        # inf/inf, at x = -inf
+        k = self.kappa
+        z = np.abs(self.beta * (x - self.loc))
+        e = np.exp(_log_kexp_neg(z, k))
+        root = np.hypot(1.0, k * z) if k > 0.0 else 1.0  # sqrt(1 + (k z)^2)
+        return self.beta * e / (root * np.square(1.0 + e))
 
     def quantile(self, p):
         parr = np.asarray(p, dtype=float)

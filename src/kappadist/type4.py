@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .core import check_kappa
 from .errors import DegenerateFamilyError, DomainError, MomentDivergesError
-from .framework import Distribution, ModeResult
+from .framework import Distribution
 
 __all__ = ["Type4"]
 
@@ -118,6 +118,3 @@ class Type4(Distribution):
             log_c = k * np.log(p)
         u = np.exp(log_c) / (2.0 * np.sqrt(-np.expm1(log_c)))
         return np.power(u / (k * self.beta), 1.0 / self.alpha)
-
-    def mode(self):
-        return super().mode()  # no printed closed form; numeric argmax

@@ -7,23 +7,20 @@ implemented from their closed forms (n = 1 is exactly Type II_1);
 higher orders would need symbolic derivatives of kappa_exp and are
 rejected by design.
 
-The derivative identity <x^m> = (-1)^m m! g^(n-1-m)(0)/g^(n-1)(0)
-(0 <= m <= n-1) collapses to m!/beta^m because the first three
-derivatives of kappa_exp at 0 all equal 1.
+The survival functions S_n = g^(n-1)/g^(n-1)(0) form a ladder: the
+density of order n is beta times the survival of order n + 1, so one
+log-survival routine for orders 1-4 gives the cdf, the survival and the
+density.  The moments come from the Mellin transform of g^(n):
+<x^m> = Gamma(1+m) beta^(-m) M_k(m+1-n)/Gamma(m+1-n) on the whole
+window m < n - 1 + 1/kappa, which is m!/beta^m for integer m <= n - 1.
 """
 
 import math
 
 import numpy as np
 
-from . import oracle
-from .core import _log_kexp_neg, check_kappa
-from .errors import (
-    DomainError,
-    MomentDivergesError,
-    UnsupportedOrderError,
-    VarianceDivergesError,
-)
+from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa
+from .errors import DomainError, MomentDivergesError, UnsupportedOrderError
 from .framework import Distribution, ModeResult
 
 __all__ = ["Type5"]
@@ -45,52 +42,41 @@ class Type5(Distribution):
     def get_params(self):
         return {"n": self.n, "beta": self.beta, "kappa": self.kappa}
 
-    def generatrix_derivative_at_zero(self, order):
-        """g^(order)(0) for the Type I_1 generatrix; exact rational in kappa."""
-        if order not in (0, 1, 2):
-            raise UnsupportedOrderError("derivatives at 0 tabulated for order <= 2")
-        k, b = self.kappa, self.beta
-        return (1.0 - k * k) * b * (-b) ** order
+    def _log_survival(self, x, order):
+        """log of the order-th survival function of the ladder.
 
-    def _log_survival(self, x):
-        """log survival, summed from terms that each keep relative precision,
-        so the cdf -expm1(log survival) stays exact near the origin."""
+        S_1 = E = kappa_exp(-z), z = beta x, and each next order is the
+        derivative of the one before, up to sign and scale:
+        log S = log E - ((order-1)/2) log(1 + u^2) + log P(t), u = k z,
+        t = u/sqrt(1 + u^2) = tanh(a), a = arcsinh(u) = -k log E, with
+        P = 1, 1, 1 + k t and 1 - k^2 + 3 k t (1 + k t) for orders 1 to 4;
+        the order-4 member is beta^-1 times the order-3 density.  Every
+        term keeps its relative precision, so the cdf -expm1(log S) stays
+        exact near the origin, and log sqrt(1 + u^2) = a - log1p(t) stays
+        finite where u*u overflows.
+        """
         k = self.kappa
-        z = self.beta * x
-        log_e = _log_kexp_neg(z, k)
-        if self.n == 1 or k == 0.0:
-            return log_e  # the u = k z terms vanish (k z is NaN at k = 0, z = inf)
-        u = k * z
-        with np.errstate(over="ignore"):
-            log_g = np.log1p(u * u)  # g = 1 + u^2
-        if self.n == 2:
-            return log_e - 0.5 * log_g
-        # 1/g + k u/g^(3/2) = (1 + k u/sqrt(g))/g, and u/sqrt(g) =
-        # tanh(arcsinh(u)) = tanh(-k log_e) stays finite at u = inf
-        return log_e - log_g + np.log1p(k * np.tanh(-k * log_e))
+        log_e = _log_kexp_neg(self.beta * x, k)
+        if order == 1 or k == 0.0:
+            return log_e  # the u = k z terms vanish (k log E is NaN at k = 0, x = inf)
+        a = -k * log_e
+        t = np.tanh(a)
+        out = log_e - (order - 1) * (a - np.log1p(t))
+        if order == 3:
+            out += np.log1p(k * t)
+        elif order == 4:
+            out += np.log(1.0 - k * k + 3.0 * k * t * (1.0 + k * t))
+        return out
 
     def _survival(self, x):
-        return np.exp(self._log_survival(x))
+        return np.exp(self._log_survival(x, self.n))
 
     def _cdf(self, x):
-        return np.clip(-np.expm1(self._log_survival(x)), 0.0, 1.0)
+        return np.clip(-np.expm1(self._log_survival(x, self.n)), 0.0, 1.0)
 
-    def _pdf(self, x):
-        k, b = self.kappa, self.beta
-        z = b * x
-        u = k * z
-        g = 1.0 + u * u
-        if self.n == 1:
-            body = 1.0 / np.sqrt(g)
-        elif self.n == 2:
-            body = 1.0 / g + k * u / np.power(g, 1.5)
-        else:
-            body = (
-                (1.0 - k * k) / np.power(g, 1.5)
-                + 3.0 * k * u / np.square(g)
-                + 3.0 * k * k * u * u / np.power(g, 2.5)
-            )
-        return b * np.exp(_log_kexp_neg(z, k)) * body
+    def _logpdf(self, x):
+        # pdf_n = -dS_n/dx = beta S_(n+1)
+        return math.log(self.beta) + self._log_survival(x, self.n + 1)
 
     def tail_exponent(self):
         """pdf ~ x^(-n - 1/kappa) for x -> inf."""
@@ -111,31 +97,19 @@ class Type5(Distribution):
             )
 
     def raw_moment(self, m):
+        """<x^m> = Gamma(1+m) beta^(-m) M_k(m+1-n)/Gamma(m+1-n).
+
+        The Mellin transform of g^(n) is (-1)^n Gamma(s)/Gamma(s-n) times
+        that of g at s - n; at s = m + 1 it gives this closed form over the
+        whole window m < n - 1 + 1/kappa.  For integer m <= n - 1 the
+        ratio is 1 and <x^m> = m!/beta^m.
+        """
         self.check_moment_order(m)
-        if float(m).is_integer() and 0 <= m <= self.n - 1:
-            # derivative identity: (-1)^m m! g^(n-1-m)(0)/g^(n-1)(0)
-            mi = int(m)
-            num = self.generatrix_derivative_at_zero(self.n - 1 - mi)
-            den = self.generatrix_derivative_at_zero(self.n - 1)
-            return (-1.0) ** mi * math.factorial(mi) * num / den
-        return self._moment_by_quadrature(m)
-
-    def mean(self):
-        if self.n == 1:
-            return 1.0 / (self.beta * (1.0 - self.kappa**2))
-        return 1.0 / self.beta
-
-    def variance(self):
-        k, b = self.kappa, self.beta
-        if self.n == 1:
-            if not k < 0.5:
-                raise VarianceDivergesError(
-                    "m < 1/kappa", "order-1 variance needs kappa < 1/2"
-                )
-            return (1.0 + 2.0 * k**4) / ((1.0 - 4.0 * k * k) * (1.0 - k * k) ** 2) / b**2
-        if self.n == 2:
-            return (1.0 + k * k) / (1.0 - k * k) / b**2
-        return 1.0 / b**2
+        return math.exp(
+            math.lgamma(1.0 + m)
+            - m * math.log(self.beta)
+            + _log_mellin_ratio(m + 1.0 - self.n, self.kappa)
+        )
 
     def _quantile_scale(self):
         return 1.0 / self.beta
@@ -143,21 +117,10 @@ class Type5(Distribution):
     def _pdf_tail_power(self):
         return None if self.kappa == 0.0 else self.n + 1.0 / self.kappa
 
-    def _pdf_slope_at_origin(self):
-        """Sign-exact derivative of the pdf at x = 0."""
-        b, k = self.beta, self.kappa
-        if self.n == 1:
-            return -b * b
-        if self.n == 2:
-            return b * b * (k * k - 1.0)
-        return b * b * (4.0 * k * k - 1.0)
-
     def mode(self):
-        origin = self.beta * (1.0 - self.kappa**2 if self.n == 3 else 1.0)
-        if self._pdf_slope_at_origin() < 0.0:
-            # decreasing at the origin; the deformation cannot create a
-            # second stationary point once the density starts falling
-            return ModeResult(kind="monotone", pdf_at_origin=origin)
-        hi = self.quantile(1.0 - 1e-9)
-        x = oracle.argmax(self.pdf, 0.0, hi, tol=1e-12)
-        return ModeResult(kind="interior", x=x)
+        # pdf'(0) is -beta^2 (n = 1), beta^2 (k^2 - 1) (n = 2) and
+        # beta^2 (4 k^2 - 1) (n = 3); the deformation cannot create a
+        # stationary point once the density starts falling
+        if self.n < 3 or self.kappa < 0.5:
+            return ModeResult(kind="monotone", pdf_at_origin=self.pdf(0.0))
+        return super().mode()

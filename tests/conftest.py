@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,17 @@ def ks_statistic(draws, cdf):
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return max(upper, lower)
+
+
+def mp_log_mellin_ratio(r, kappa):
+    """40-digit log(M_k(r)/Gamma(r)) from its Gamma-function form; 0 at kappa = 0."""
+    with mpmath.workdps(40):
+        r, k = mpmath.mpf(r), mpmath.mpf(kappa)
+        if k == 0:
+            return mpmath.mpf(0)
+        z = 1 / (2 * k)
+        lg = mpmath.loggamma
+        return -(r + 1) * mpmath.log(2 * k) + lg(z - r / 2) - lg(z + 1 + r / 2)
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from kappadist import (
     kappa_exp,
     kappa_exp_tail_exponent,
     kappa_log,
+    log_mellin_kappa,
     mellin_kappa,
 )
 from kappadist.core import kappa_erf_prefactor, log_kappa_exp
@@ -132,6 +133,35 @@ class TestMellin:
             mellin_kappa(-1.0, 0.3)
         with pytest.raises(DomainError):
             mellin_kappa(0.0, 0.3)
+
+
+def _mp_log_mellin(r, kappa):
+    """40-digit log M_k(r) from its Gamma-function form."""
+    with mpmath.workdps(40):
+        r, k = mpmath.mpf(r), mpmath.mpf(kappa)
+        z = 1 / (2 * k)
+        return float(
+            -r * mpmath.log(2 * k)
+            - mpmath.log1p(k * r)
+            + mpmath.loggamma(z - r / 2)
+            - mpmath.loggamma(z + r / 2)
+            + mpmath.loggamma(r)
+        )
+
+
+class TestMellinSmallKappa:
+    """The Gamma ratio keeps its O(kappa^2 r^3) deviation from Gamma(r) at
+    every kappa; the classical value alone is off by ~1e-9 at kappa = 1e-5."""
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-5, 5e-5, 1e-4, 1e-3, 0.2])
+    @pytest.mark.parametrize("r", [0.01, 0.5, 1.0, 2.5, 4.0])
+    def test_against_mpmath(self, k, r):
+        assert log_mellin_kappa(r, k) == pytest.approx(_mp_log_mellin(r, k), rel=0.0, abs=2e-15)
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-3, 0.3, 0.9])
+    def test_erf_prefactor_is_gamma_half_over_mellin_half(self, k):
+        expect = math.exp(0.5 * math.log(math.pi) - _mp_log_mellin(0.5, k))
+        assert kappa_erf_prefactor(k) == pytest.approx(expect, rel=2e-15)
 
 
 class TestKappaErf:

@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from kappadist import (
     DomainError,
+    KappaErlang,
+    KappaLogistic,
     KappaNormal,
+    MomentDivergesError,
     Type1,
     Type2,
+    Type3,
+    Type4,
+    Type5,
+    VarianceDivergesError,
     as_generator,
 )
 
@@ -112,3 +121,79 @@ class TestRepr:
     def test_repr_shows_params(self):
         r = repr(Type2(2.0, 1.0, 0.3))
         assert "Type2" in r and "alpha=2.0" in r and "kappa=0.3" in r
+
+
+EVERY_FAMILY = [
+    Type1(1.5, 1.0, 0.8, 0.3),
+    Type1(-1.5, 1.0, 0.8, 0.3),
+    Type1(2.0, 1.0, 1.0, 0.0),
+    KappaErlang(2, 1.0, 0.3),
+    KappaErlang(3, 1.0, 0.0),
+    KappaNormal(1.0, 0.3),
+    Type2(1.5, 1.0, 0.3),
+    Type2(-1.5, 1.0, 0.9),
+    Type2(2.5, 1.0, 0.0),
+    Type3(1.5, 1.0, 2.0, 0.3),
+    Type3(-1.5, 1.0, 0.5, 0.0),
+    KappaLogistic(1.0, 0.3),
+    KappaLogistic(1.0, 0.0, loc=0.5),
+    Type4(1.5, 1.0, 0.3),
+    Type5(1, 1.0, 0.9),
+    Type5(2, 1.0, 0.4),
+    Type5(3, 1.0, 0.4),
+    Type5(3, 1.0, 0.0),
+    Type2(1.5, 1.0, 0.3).symmetrize(),
+]
+
+
+class TestLimits:
+    """pdf/logpdf/cdf/survival at 0 and +-inf (-inf on the real line only),
+    scalar and array, with RuntimeWarnings raised as errors."""
+
+    @pytest.mark.parametrize("d", EVERY_FAMILY, ids=repr)
+    def test_limits_at_infinity(self, d):
+        ends = [(math.inf, 1.0)]
+        if d.support_real_line:
+            ends.append((-math.inf, 0.0))
+        for x, cdf in ends:
+            assert d.pdf(x) == 0.0
+            assert d.logpdf(x) == -math.inf
+            assert d.cdf(x) == cdf
+            assert d.survival(x) == 1.0 - cdf
+            xs = np.array([x, x])
+            np.testing.assert_array_equal(d.pdf(xs), [0.0, 0.0])
+            np.testing.assert_array_equal(d.logpdf(xs), [-math.inf, -math.inf])
+            np.testing.assert_array_equal(d.cdf(xs), [cdf, cdf])
+            np.testing.assert_array_equal(d.survival(xs), [1.0 - cdf, 1.0 - cdf])
+
+    @pytest.mark.parametrize("d", EVERY_FAMILY, ids=repr)
+    def test_values_at_origin(self, d):
+        pdf, logpdf, cdf, survival = d.pdf(0.0), d.logpdf(0.0), d.cdf(0.0), d.survival(0.0)
+        assert pdf >= 0.0 and pdf == math.exp(logpdf)
+        if d.support_real_line:
+            assert 0.0 < cdf < 1.0 and cdf + survival == 1.0
+        else:
+            assert (cdf, survival) == (0.0, 1.0)
+        got = [f(np.zeros(2)) for f in (d.pdf, d.logpdf, d.cdf, d.survival)]
+        np.testing.assert_array_equal(got, [[v, v] for v in (pdf, logpdf, cdf, survival)])
+
+
+class TestVarianceDiverges:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Type1(2.0, 1.0, 0.5, 0.7),
+            Type2(1.0, 1.0, 0.6),
+            Type2(-1.5, 1.0, 0.3),
+            Type4(0.8, 1.0, 0.3),
+            Type5(1, 1.0, 0.5),
+            KappaNormal(1.0, 0.7),
+        ],
+        ids=repr,
+    )
+    def test_outside_window(self, d):
+        with pytest.raises(MomentDivergesError) as moment:
+            d.raw_moment(2)
+        with pytest.raises(VarianceDivergesError) as variance:
+            d.variance()
+        assert variance.value.constraint == moment.value.constraint

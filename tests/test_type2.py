@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -12,7 +13,7 @@ from kappadist import (
     kappa_log,
     oracle,
 )
-from conftest import integrate_pdf, ks_statistic
+from conftest import integrate_pdf, ks_statistic, mp_log_mellin_ratio
 
 GRID = [
     (1.0, 1.0, 0.25),
@@ -143,6 +144,18 @@ class TestInequality:
             )
             assert d.gini() == pytest.approx(1.0 - res.value / d.mean(), rel=1e-7)
 
+    @pytest.mark.parametrize("a, k", [(1.2, 1e-5), (1.0, 1e-8), (3.5, 0.2), (2.5, 0.9)])
+    def test_gini_against_mpmath(self, a, k):
+        # 1 - (a+k)/(a+k/2) G(1/k - c) G(1/2k + c)/(G(1/k + c) G(1/2k - c)), c = 1/2a
+        with mpmath.workdps(40):
+            am, km = mpmath.mpf(a), mpmath.mpf(k)
+            c = 1 / (2 * am)
+            lg = mpmath.loggamma
+            h = 1 / (2 * km)
+            t = mpmath.exp(lg(1 / km - c) - lg(1 / km + c) + lg(h + c) - lg(h - c))
+            expect = float(1 - (am + km) / (am + km / 2) * t)
+        assert Type2(a, 1.0, k).gini() == pytest.approx(expect, rel=1e-14)
+
     def test_gini_classical_limit(self):
         assert Type2(2.0, 1.0, 0.0).gini() == pytest.approx(1.0 - 2.0**-0.5, rel=1e-13)
 
@@ -202,3 +215,53 @@ class TestShape:
         d = Type2(2.0, 1.0, 0.3)
         draws = d.sample(20000, 11)
         assert ks_statistic(draws, d.cdf) < 1.63 / math.sqrt(20000)
+
+
+class TestMellinMoments:
+    """<x^m> = Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha > -1, for
+    either sign of alpha and never by quadrature."""
+
+    def test_never_quadrature_and_matches_mpmath(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("Type II moments must not integrate")
+
+        monkeypatch.setattr(oracle, "integrate_semiaxis", no_quadrature)
+        b = 1.3
+        for k in (0.0, 1e-8, 1e-5, 1e-3, 0.3, 0.6, 0.9):
+            for a in (-0.5, -1.5, -2.5, 0.7, 2.5):
+                d = Type2(a, b, k)
+                top = abs(a) if a < 0.0 else (a / k if k > 0.0 else 20.0)
+                for m in (0.01, 0.3, 0.5, 1.0, 1.7, 0.5 * top, 0.9 * top, 0.999 * top):
+                    if not m < min(top, 20.0):
+                        continue
+                    r = m / a
+                    with mpmath.workdps(40):
+                        expect = mpmath.exp(
+                            mpmath.loggamma(1 + mpmath.mpf(r))
+                            - r * mpmath.log(b)
+                            + mp_log_mellin_ratio(r, k)
+                        )
+                    assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-12), (a, k, m)
+
+    @pytest.mark.parametrize("k", [0.0, 1e-5, 0.6])
+    @pytest.mark.parametrize("a", [-0.5, -1.5, -2.5])
+    def test_alpha_negative_against_density_integral(self, a, k):
+        """<x^m> = beta^(-r) int y^r g(y) dy with g = -d/dy kappa_exp(-y),
+        the law of y = beta x^alpha, integrated by mpmath under
+        y = t^(1/(1+r)), which removes the y^r singularity."""
+        b = 1.3
+        d = Type2(a, b, k)
+        for m in (0.1 * abs(a), 0.9 * abs(a)):
+            r = m / a
+            with mpmath.workdps(20):
+                kk = mpmath.mpf(k)
+
+                def integrand(t):
+                    y = t ** (1 / (1 + mpmath.mpf(r)))
+                    if kk == 0:
+                        return mpmath.exp(-y)
+                    return mpmath.exp(-mpmath.asinh(kk * y) / kk) / mpmath.sqrt(1 + (kk * y) ** 2)
+
+                total = mpmath.quad(integrand, [0, 1, 10, 100, mpmath.inf]) / (1 + r)
+                expect = mpmath.mpf(b) ** -r * total
+            assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-12), m

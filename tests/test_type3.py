@@ -94,6 +94,26 @@ class TestMoments:
             d.raw_moment(4)
         assert "alpha/kappa" in str(exc.value)
 
+    @pytest.mark.parametrize("k", [1e-8, 1e-5, 1e-3, 0.01, 0.02])
+    def test_small_kappa_against_survival_integral(self, k):
+        """<x^m> = beta^(-r) int S(t^(1/r)) dt with r = m/alpha (from
+        int m x^(m-1) S dx); the oracle's tail substitution used to under-
+        or overflow at tail powers 1 + alpha/kappa this large."""
+        a, b, lam = 2.5, 1.0, 2.0
+        d = Type3(a, b, lam, k)
+        for m in (1.0, 1.5, 2.0):
+            r = m / a
+            with mpmath.workdps(20):
+                kk = mpmath.mpf(k)
+
+                def survival(t):
+                    y = b * t ** (1 / mpmath.mpf(r))
+                    e = mpmath.exp(-mpmath.asinh(kk * y) / kk)
+                    return lam * e / (1 + (lam - 1) * e)
+
+                expect = mpmath.mpf(b) ** -r * mpmath.quad(survival, [0, 1, 10, mpmath.inf])
+            assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-9), m
+
     def test_lambda_one_matches_type2_moment(self):
         d3 = Type3(2.0, 1.5, 1.0, 0.3)
         d2 = Type2(2.0, 1.5, 0.3)
@@ -180,6 +200,30 @@ class TestTailsFromLogE:
             )
         got = Type3(a, b, lam, k).logpdf(x)
         assert math.isfinite(got) and got == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1e110, 1e200])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_logpdf_past_u_overflow(self, lam, x):
+        # u = k beta x^alpha is past 1.3e154, where u*u overflows
+        a, b, k = 1.5, 1.0, 0.3
+        with mpmath.workdps(50):
+            le = _mp_log_e(x, a, b, k)
+            u = k * b * mpmath.mpf(x) ** a
+            expect = float(
+                mpmath.log(lam * a * b)
+                + (a - 1) * mpmath.log(x)
+                - mpmath.log(mpmath.sqrt(1 + u * u))
+                + le
+                - 2 * mpmath.log1p((lam - 1) * mpmath.exp(le))
+            )
+        d = Type2(a, b, k) if lam == 1.0 else Type3(a, b, lam, k)
+        assert d.logpdf(x) == pytest.approx(expect, rel=1e-13)
+
+    def test_classical_density_where_y_overflows(self):
+        # kappa = 0: beta x^alpha = inf, where k * y used to read 0 * inf
+        assert Type2(2.5, 1.0, 0.0).logpdf(1e200) == -np.inf
+        assert Type2(-2.5, 1.0, 0.0).logpdf(1e-200) == -np.inf
+        assert Type3(2.5, 1.0, 2.0, 0.0).pdf(1e200) == 0.0
 
     @pytest.mark.parametrize("d", [Type2(1.5, 1.0, 0.3), Type3(1.5, 1.0, 2.0, 0.3)], ids=repr)
     def test_density_at_infinity(self, d):

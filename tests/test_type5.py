@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from kappadist import (
     VarianceDivergesError,
     oracle,
 )
-from conftest import integrate_pdf, ks_statistic
+from conftest import integrate_pdf, ks_statistic, mp_log_mellin_ratio
 
 GRID = [
     (1, 1.0, 0.3),
@@ -153,3 +154,66 @@ class TestLimitsAtInfinity:
         assert d.cdf(math.inf) == 1.0
         assert d.survival(math.inf) == 0.0
         np.testing.assert_array_equal(d.cdf(np.array([0.0, math.inf])), [0.0, 1.0])
+
+
+def _mp_survival(n, beta, kappa, x):
+    """Order-n Type V survival g^(n-1)(x)/g^(n-1)(0), from its printed closed form."""
+    k = mpmath.mpf(kappa)
+    z = beta * x
+    u = k * z
+    e = mpmath.exp(-mpmath.asinh(u) / k) if k else mpmath.exp(-z)
+    g = 1 + u * u
+    return [e, e / mpmath.sqrt(g), e / g * (1 + k * u / mpmath.sqrt(g))][n - 1]
+
+
+def _moment_orders(n, k):
+    """Integer and non-integer orders across the window m < n - 1 + 1/kappa,
+    up to 40 (far larger orders overflow a double at small kappa)."""
+    top = n - 1.0 + 1.0 / k if k > 0.0 else 6.0
+    ms = [0.0, 0.01, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 0.5 * top, 0.9 * top, 0.999 * top]
+    return sorted({m for m in ms if m < top and m <= 40.0})
+
+
+class TestMellinMoments:
+    """<x^m> = Gamma(1+m) beta^(-m) M_k(m+1-n)/Gamma(m+1-n), never by quadrature."""
+
+    def test_never_quadrature_and_matches_mpmath(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("Type V moments must not integrate")
+
+        monkeypatch.setattr(oracle, "integrate_semiaxis", no_quadrature)
+        b = 1.3
+        for k in (0.0, 1e-8, 1e-5, 1e-3, 0.3, 0.6, 0.9):
+            for n in (1, 2, 3):
+                d = Type5(n, b, k)
+                for m in _moment_orders(n, k):
+                    with mpmath.workdps(40):
+                        expect = mpmath.exp(
+                            mpmath.loggamma(1 + mpmath.mpf(m))
+                            - m * mpmath.log(b)
+                            + mp_log_mellin_ratio(m + 1 - n, k)
+                        )
+                    assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-12), (n, k, m)
+
+    @pytest.mark.parametrize("k", [1e-5, 0.3, 0.6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_against_survival_integral(self, n, k):
+        """<x^m> = int m x^(m-1) S_n(x) dx, where mpmath's quadrature of
+        the tail x^(m-n-1/kappa) is reliable (m < n - 2 + 1/kappa)."""
+        b = 1.3
+        d = Type5(n, b, k)
+        for m in (0.5, 1.5, 2.5):
+            if not m < n - 2.0 + 1.0 / k:
+                continue
+            with mpmath.workdps(20):
+                expect = mpmath.quad(
+                    lambda x: m * x ** (m - 1) * _mp_survival(n, b, k, x),
+                    [0, 1, 10, 100, mpmath.inf],
+                )
+            assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-12), m
+
+    def test_small_kappa_mean(self):
+        # the quadrature this replaces gave 0.515 here
+        d = Type5(1, 1.3, 1e-5)
+        assert d.raw_moment(1) == d.mean()
+        assert d.mean() == pytest.approx(1.0 / (1.3 * (1.0 - 1e-10)), rel=1e-14)
