@@ -118,7 +118,8 @@ def kappa_exp(x, kappa):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("kappa_exp requires finite x")
-    return _maybe_item(np.exp(_log_kexp_neg(-x, k)))
+    with np.errstate(over="ignore"):  # inf past the largest float
+        return _maybe_item(np.exp(_log_kexp_neg(-x, k)))
 
 
 def log_kappa_exp(x, kappa):

@@ -7,7 +7,10 @@ family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
 a 0-d result comes back as a Python float.  Families override what they
 have in closed form; the base class supplies the missing one of each
 pair, quadrature moments, log-space Newton quantiles, inverse-transform
-sampling and the half-line -> real-line symmetrizer.
+sampling and the half-line -> real-line symmetrizer.  On a half line
+x < 0 gives pdf 0, cdf 0 and survival 1 before any family code runs.
+PowerTransformed carries the change of variables Y = beta X^alpha for
+the families that write only the law of Y (Type1, Type3, Type4).
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .core import _maybe_item
+from .core import _maybe_item, check_kappa
 from .errors import DomainError, MomentDivergesError, NoConvergenceError, VarianceDivergesError
 
 __all__ = [
@@ -33,6 +36,15 @@ __all__ = [
 _QUANTILE_MAX_ITER = 200
 _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
+
+
+def check_param(name, value, positive=True):
+    """value as a float; DomainError unless it is finite (and > 0 if positive)."""
+    v = float(value)
+    if not math.isfinite(v) or (positive and not v > 0.0):
+        kind = "finite positive" if positive else "finite"
+        raise DomainError(f"{name} must be a {kind} real, got {value!r}")
+    return v
 
 
 def as_generator(rng):
@@ -82,23 +94,46 @@ class Distribution:
     # -- evaluation surface -------------------------------------------------
 
     def pdf(self, x):
-        return _maybe_item(self._pdf(np.asarray(x, dtype=float)))
+        return self._on_support(self._pdf, x, 0.0)
 
     def logpdf(self, x):
-        return _maybe_item(self._logpdf(np.asarray(x, dtype=float)))
+        return self._on_support(self._logpdf, x, -math.inf)
 
     def cdf(self, x):
-        return _maybe_item(self._cdf(np.asarray(x, dtype=float)))
+        return self._on_support(self._cdf, x, 0.0)
 
     def survival(self, x):
-        return _maybe_item(self._survival(np.asarray(x, dtype=float)))
+        return self._on_support(self._survival, x, 1.0)
 
     def hazard(self, x):
+        return self._on_support(self._hazard, x, 0.0)
+
+    def _on_support(self, fn, x, below):
+        """fn (a private array method) at x, as a float for a 0-d x.
+
+        Left of a half-line support the value is `below`, and fn is not
+        called there; a NaN x reaches fn, which returns NaN.
+        """
+        if isinstance(x, float):  # also numpy's float64: a scalar needs no array test
+            if x < 0.0 and not self.support_real_line:
+                return below
+            return _maybe_item(fn(np.asarray(x)))
         x = np.asarray(x, dtype=float)
+        if not self.support_real_line:
+            left = x < 0.0
+            if np.count_nonzero(left):
+                out = np.full(x.shape, below)
+                rest = ~left
+                if np.count_nonzero(rest):
+                    out[rest] = fn(x[rest])
+                return _maybe_item(out)
+        return _maybe_item(fn(x))
+
+    def _hazard(self, x):
         s = self._survival(x)
         p = self._pdf(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _maybe_item(np.where(s > 0.0, p / s, np.inf))
+            return np.where(s == 0.0, np.inf, p / s)
 
     # A family writes its density once, in linear (_pdf) or log (_logpdf)
     # form, and at least one of _cdf and _survival; each takes and returns
@@ -299,6 +334,89 @@ class Distribution:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+class PowerTransformed(Distribution):
+    """Law of X >= 0 whose power Y = beta X^alpha follows a given law.
+
+    A family writes the law of Y only: _y_share(y, upper), the share of
+    Y above y (upper) or below it; y pdf_Y(y) = y^w g(y) with w =
+    _y_power and log g = _y_log_regular(y), which may overwrite y; and
+    _y_ends() = ((w0, log c0), (w1, log c1)) with y pdf_Y(y) ~ c y^w as
+    y -> 0 and as y -> inf, None for an end beyond every power.  This
+    class maps it to X: alpha < 0 swaps the cdf and the survival,
+    pdf_X(x) = |alpha| beta^w x^(alpha w - 1) g(y), and the ends of Y
+    give the density's limit at the origin and its powers at both ends.
+    """
+
+    def __init__(self, alpha, beta, kappa):
+        self.kappa = check_kappa(kappa)
+        self.alpha = check_param("alpha", alpha, positive=False)
+        if self.alpha == 0.0:
+            raise DomainError("alpha must be a finite nonzero real")
+        self.beta = check_param("beta", beta)
+
+    # an np.errstate costs about as much as a 0-d evaluation, so each
+    # private method enters one, and _y and the _y_* methods run under it
+
+    def _y(self, x):
+        return self.beta * np.power(x, self.alpha)
+
+    def _x(self, y):
+        """Inverse of _y."""
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.power(y / self.beta, 1.0 / self.alpha)
+
+    def _cdf(self, x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._y_share(self._y(x), upper=self.alpha < 0.0)
+
+    def _survival(self, x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._y_share(self._y(x), upper=self.alpha > 0.0)
+
+    def _logpdf(self, x):
+        w = self._y_power
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_x = np.log(x)
+            out = self._y_log_regular(self._y(x))
+            out += (self.alpha * w - 1.0) * log_x + (
+                math.log(abs(self.alpha)) + w * math.log(self.beta)
+            )
+        # at x = 0 and inf the terms can read 0 * inf or inf - inf; the
+        # density vanishes at inf for every family
+        if np.count_nonzero(np.isinf(log_x)):
+            out = np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
+        return out
+
+    def _x_end(self, at_origin):
+        """(e, log C) with pdf_X ~ C x^e as x -> 0 (at_origin) or x -> inf,
+        or None where the density falls faster than every power."""
+        end = self._y_ends()[0 if (self.alpha > 0.0) == at_origin else 1]
+        if end is None:
+            return None
+        w, log_c = end
+        return self.alpha * w - 1.0, math.log(abs(self.alpha)) + log_c + w * math.log(self.beta)
+
+    def _logpdf_at_origin(self):
+        end = self._x_end(at_origin=True)
+        if end is None:
+            return -math.inf  # an essential zero, such as e^(-beta/x^|alpha|)
+        e, log_c = end
+        if e == 0.0:
+            return log_c
+        return -math.inf if e > 0.0 else math.inf
+
+    def _pdf_singular_power(self):
+        end = self._x_end(at_origin=True)
+        return None if end is None else end[0]
+
+    def _pdf_tail_power(self):
+        end = self._x_end(at_origin=False)
+        return None if end is None else -end[0]
+
+    def _quantile_scale(self):
+        return self.beta ** (-1.0 / self.alpha)
 
 
 class SymmetrizedDistribution(Distribution):

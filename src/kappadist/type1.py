@@ -13,8 +13,9 @@ regularized incomplete Beta functions
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
 (core._gamma_share), so no quadrature is needed at evaluation time.
-alpha < 0 swaps the roles of cdf and survival with |N| (the
-inverse-variable construction).
+Type1 writes only this law of y; framework.PowerTransformed maps it to
+x, for either sign of alpha (alpha < 0 is the inverse-variable
+construction).
 """
 
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import _gamma_share, _log_kexp_neg, check_kappa, log_mellin_kappa
 from .errors import DomainError, MomentDivergesError
-from .framework import Distribution, ModeResult, SymmetrizedDistribution
+from .framework import ModeResult, PowerTransformed, SymmetrizedDistribution, check_param
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
 
@@ -32,85 +33,46 @@ __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "K
 _ERLANG_LOWER_TAIL = 2.0**-10
 
 
-class Type1(Distribution):
+class Type1(PowerTransformed):
     """Deformed Generalized Gamma on x >= 0.
 
     alpha != 0 (negative allowed: inverse-variable variant), beta > 0,
-    0 < nu < 1/kappa.
+    0 < nu < 1/kappa.  Y = beta X^alpha has the density
+    y^(nu-1) kappa_exp(-y)/M_kappa(nu).
     """
 
     def __init__(self, alpha, beta, nu, kappa):
-        self.kappa = check_kappa(kappa)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.nu = float(nu)
-        if self.alpha == 0.0 or not math.isfinite(self.alpha):
-            raise DomainError("alpha must be a finite nonzero real")
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
-        if not self.nu > 0.0:
-            raise DomainError("nu must be positive")
+        super().__init__(alpha, beta, kappa)
+        self.nu = check_param("nu", nu)
         if self.kappa > 0.0 and not self.nu < 1.0 / self.kappa:
             raise DomainError(
                 f"requires nu < 1/kappa = {1.0 / self.kappa:g}, got nu = {self.nu:g}"
             )
         self._log_mellin_nu = log_mellin_kappa(self.nu, self.kappa)
-        # log of |N|; N itself is positive for alpha > 0
-        self._log_norm = (
-            math.log(abs(self.alpha)) + self.nu * math.log(self.beta) - self._log_mellin_nu
-        )
+        self._y_power = self.nu
 
     def get_params(self):
         return {"alpha": self.alpha, "beta": self.beta, "nu": self.nu, "kappa": self.kappa}
 
     def norm_constant(self):
         """|N|: prefactor of the pdf."""
-        return math.exp(self._log_norm)
+        return math.exp(
+            math.log(abs(self.alpha)) + self.nu * math.log(self.beta) - self._log_mellin_nu
+        )
 
-    # -- density ---------------------------------------------------------------
+    # -- the law of y = beta x^alpha -------------------------------------------
 
-    def _logpdf(self, x):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = self.beta * np.power(x, self.alpha)
-            out = (
-                self._log_norm
-                + (self.alpha * self.nu - 1.0) * np.log(x)
-                + _log_kexp_neg(y, self.kappa)
-            )
-        # the pdf vanishes as x -> inf for every admissible (alpha, nu, kappa),
-        # where the terms above can read 0 * inf or inf - inf
-        return np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
+    def _y_log_regular(self, y):
+        return _log_kexp_neg(y, self.kappa) - self._log_mellin_nu
 
-    def _logpdf_at_origin(self):
-        a, nu, k = self.alpha, self.nu, self.kappa
-        if a > 0.0:
-            e0 = a * nu - 1.0
-        elif k > 0.0:
-            # kappa_exp(-beta x^alpha) ~ (2 k beta)^(-1/k) x^(-alpha/k)
-            e0 = abs(a) * (1.0 / k - nu) - 1.0
-        else:
-            return -math.inf  # essential zero e^(-beta/x^|alpha|)
-        if e0 > 0.0:
-            return -math.inf
-        if e0 < 0.0:
-            return math.inf
-        if a > 0.0:
-            return self._log_norm
-        return self._log_norm - (1.0 / k) * math.log(2.0 * k * self.beta)
+    def _y_ends(self):
+        k, log_c = self.kappa, -self._log_mellin_nu
+        # kappa_exp(-y) ~ (2 k y)^(-1/k) as y -> inf
+        far = None if k == 0.0 else (self.nu - 1.0 / k, log_c - math.log(2.0 * k) / k)
+        return (self.nu, log_c), far
 
-    # -- cdf ---------------------------------------------------------------------
-
-    def _share(self, x, upper):
-        """Share of the law of y = beta x^alpha above y (upper) or below it."""
-        with np.errstate(divide="ignore", over="ignore"):
-            y = self.beta * np.power(x, self.alpha)
+    def _y_share(self, y, upper):
         return _gamma_share(y, self.nu, self.kappa, upper)
-
-    def _cdf(self, x):
-        return self._share(x, upper=self.alpha < 0.0)
-
-    def _survival(self, x):
-        return self._share(x, upper=self.alpha > 0.0)
 
     # -- moments --------------------------------------------------------------
 
@@ -137,24 +99,6 @@ class Type1(Distribution):
 
     # -- shape -------------------------------------------------------------------
 
-    def _quantile_scale(self):
-        return self.beta ** (-1.0 / self.alpha)
-
-    def _pdf_tail_power(self):
-        if self.alpha > 0.0:
-            if self.kappa == 0.0:
-                return None
-            return 1.0 + self.alpha / self.kappa - self.alpha * self.nu
-        return 1.0 + abs(self.alpha) * self.nu
-
-    def _pdf_singular_power(self):
-        a, nu, k = self.alpha, self.nu, self.kappa
-        if a > 0.0:
-            return a * nu - 1.0
-        if k > 0.0:
-            return abs(a) * (1.0 / k - nu) - 1.0
-        return None  # essential zero at the origin
-
     def mode(self):
         a, nu, k = self.alpha, self.nu, self.kappa
         v = k * (nu - 1.0 / a)
@@ -165,8 +109,7 @@ class Type1(Distribution):
                 return ModeResult(kind="monotone", pdf_at_origin=self.norm_constant())
         else:
             if not v < 1.0:
-                e0 = abs(a) * (1.0 / k - nu) - 1.0
-                if e0 < 0.0:
+                if self._pdf_singular_power() < 0.0:
                     return ModeResult(kind="pole", pdf_at_origin=math.inf)
                 return ModeResult(
                     kind="monotone", pdf_at_origin=math.exp(self._logpdf_at_origin())

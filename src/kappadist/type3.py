@@ -19,23 +19,15 @@ import numpy as np
 from . import oracle
 from .core import _log_kexp_neg, _maybe_item, check_kappa, kappa_log
 from .errors import DomainError, MomentDivergesError
-from .framework import Distribution, ModeResult
+from .framework import Distribution, ModeResult, PowerTransformed, check_param
 
 __all__ = ["Type3", "KappaLogistic"]
 
 
-class Type3(Distribution):
+class Type3(PowerTransformed):
     def __init__(self, alpha, beta, lam, kappa):
-        self.kappa = check_kappa(kappa)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.lam = float(lam)
-        if self.alpha == 0.0 or not math.isfinite(self.alpha):
-            raise DomainError("alpha must be a finite nonzero real")
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
-        if not self.lam > 0.0:
-            raise DomainError("lambda must be positive")
+        super().__init__(alpha, beta, kappa)
+        self.lam = check_param("lambda", lam)
 
     def get_params(self):
         return {
@@ -45,11 +37,6 @@ class Type3(Distribution):
             "kappa": self.kappa,
         }
 
-    def _log_e(self, x):
-        """log kappa_exp(-beta x^alpha)."""
-        with np.errstate(divide="ignore", over="ignore"):
-            return _log_kexp_neg(self.beta * np.power(x, self.alpha), self.kappa)
-
     def hazard_rate(self, x):
         """h(x) = alpha beta x^(alpha-1) / sqrt(1 + k^2 beta^2 x^(2 alpha)).
 
@@ -57,74 +44,51 @@ class Type3(Distribution):
         the Type II pdf is |h| kappa_exp(-beta x^alpha) but h/S is no
         longer the hazard.
         """
-        x = np.asarray(x, dtype=float)
+        return self._on_support(self._hazard_rate, x, 0.0)
+
+    def _hazard_rate(self, x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            y = self.beta * np.power(x, self.alpha)
-            u = self.kappa * y
-            out = self.alpha * self.beta * np.power(x, self.alpha - 1.0) / np.sqrt(
-                1.0 + u * u
-            )
-        return _maybe_item(out)
+            h = self.alpha * self.beta * np.power(x, self.alpha - 1.0)
+            # hypot: sqrt(1 + u^2) without overflowing u^2
+            return h / np.hypot(1.0, self.kappa * self._y(x))
 
     def cum_hazard(self, x):
         """H(x) = arcsinh(kappa beta x^alpha)/kappa, Type II's; classical
         limit beta x^alpha.  For alpha < 0 it is -log survival."""
-        x = np.asarray(x, dtype=float)
-        out = -np.log(self._survival(x)) if self.alpha < 0.0 else -self._log_e(x)
-        return _maybe_item(out)
+        return self._on_support(self._cum_hazard, x, 0.0)
 
-    # -- evaluation ----------------------------------------------------------
+    def _cum_hazard(self, x):
+        if self.alpha < 0.0:
+            return -np.log(self._survival(x))
+        with np.errstate(divide="ignore", over="ignore"):
+            return -_log_kexp_neg(self._y(x), self.kappa)
 
-    def _share(self, x, upper):
-        """Share of y = beta x^alpha above y, lambda E/(1 + (lambda-1) E)
-        (upper), or below it, (1 - E)/(1 + (lambda-1) E)."""
-        log_e = self._log_e(x)
+    # -- the law of y = beta x^alpha, from E = kappa_exp(-y) --------------------
+
+    _y_power = 1.0
+
+    def _y_share(self, y, upper):
+        """lambda E/(1 + (lambda-1) E) above y (upper), or (1 - E)/(1 + (lambda-1) E) below."""
+        log_e = _log_kexp_neg(y, self.kappa)
         e = np.exp(log_e)
         den = 1.0 + (self.lam - 1.0) * e
         return self.lam * e / den if upper else -np.expm1(log_e) / den
 
-    def _cdf(self, x):
-        return self._share(x, upper=self.alpha < 0.0)
-
-    def _survival(self, x):
-        return self._share(x, upper=self.alpha > 0.0)
-
-    def _logpdf(self, x):
-        # pdf = lambda |h| E / (1 + (lambda-1) E)^2
+    def _y_log_regular(self, y):
+        # pdf_Y = lambda E / (sqrt(1 + u^2) (1 + (lambda-1) E)^2), u = k y
         lam, k = self.lam, self.kappa
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_e = _log_kexp_neg(self.beta * np.power(x, self.alpha), k)
-            # log sqrt(1 + u^2), u = k beta x^alpha, is log cosh(a) with
-            # a = arcsinh(u) = -k log E: finite where u*u would overflow
-            a = -k * log_e
-            log_cosh = a - np.log1p(np.tanh(a)) if k > 0.0 else 0.0
-            out = (
-                math.log(lam * abs(self.alpha) * self.beta)
-                + (self.alpha - 1.0) * np.log(x)
-                - log_cosh
-                + log_e
-                - 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
-            )
-        # the pdf vanishes as x -> inf, where the terms above read inf - inf
-        return np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
+        log_e = _log_kexp_neg(y, k)
+        # log sqrt(1 + u^2) is log cosh(a) with a = arcsinh(u) = -k log E:
+        # finite where u*u would overflow
+        a = -k * log_e
+        log_cosh = a - np.log1p(np.tanh(a)) if k > 0.0 else 0.0
+        return math.log(lam) - log_cosh + log_e - 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
 
-    def _logpdf_at_origin(self):
-        a, k = self.alpha, self.kappa
-        if a > 1.0:
-            return -math.inf
-        if a == 1.0:
-            return math.log(self.beta / self.lam)
-        if a > 0.0:
-            return math.inf
-        # alpha < 0: pdf ~ lambda (|alpha|/k)(2 k beta)^(-1/k) x^(|alpha|/k - 1)
-        if k == 0.0:
-            return -math.inf  # essential zero e^(-beta/x^|alpha|)
-        e0 = abs(a) / k - 1.0
-        if e0 > 0.0:
-            return -math.inf
-        if e0 < 0.0:
-            return math.inf
-        return math.log(self.lam * abs(a) / k) - (1.0 / k) * math.log(2.0 * k * self.beta)
+    def _y_ends(self):
+        k = self.kappa
+        # E ~ (2 k y)^(-1/k) and sqrt(1 + u^2) ~ k y as y -> inf
+        far = None if k == 0.0 else (-1.0 / k, math.log(self.lam / k) - math.log(2.0 * k) / k)
+        return (1.0, -math.log(self.lam)), far
 
     def rate_residual(self, x):
         """Residual of dS/dx + h S (1 - (lambda-1)/lambda S) at x.
@@ -155,10 +119,7 @@ class Type3(Distribution):
             else:
                 log_e = np.log(p) - np.log1p((lam - 1.0) * (1.0 - p))
             y = -log_e if k == 0.0 else -np.sinh(k * log_e) / k
-            return np.power(y / self.beta, 1.0 / self.alpha)
-
-    def _quantile_scale(self):
-        return self.beta ** (-1.0 / self.alpha)
+        return self._x(y)
 
     # -- moments -------------------------------------------------------------------
 
@@ -167,27 +128,15 @@ class Type3(Distribution):
 
     def check_moment_order(self, m):
         r = m / self.alpha
-        # r is the Mellin order of the survival integrand; the integral
-        # near 0 additionally needs r > -1 (only binding for alpha < 0)
+        # r is the Mellin order of the survival integrand, whose window is
+        # -1 < r < 1/kappa at either sign of m and alpha
         if not r > -1.0:
             raise MomentDivergesError("m < |alpha|", f"m/alpha = {r:g} <= -1")
-        if m > 0 and self.kappa > 0.0 and not r < 1.0 / self.kappa:
+        if self.kappa > 0.0 and not r < 1.0 / self.kappa:
             raise MomentDivergesError(
-                self.moment_constraint(),
+                self.moment_constraint() if m > 0 else "m > alpha/kappa",
                 f"alpha/kappa = {self.alpha / self.kappa:g}, got m = {m:g}",
             )
-
-    def _pdf_tail_power(self):
-        if self.alpha > 0.0:
-            return None if self.kappa == 0.0 else 1.0 + self.alpha / self.kappa
-        return 1.0 + abs(self.alpha)
-
-    def _pdf_singular_power(self):
-        if self.alpha > 0.0:
-            return self.alpha - 1.0
-        if self.kappa > 0.0:
-            return abs(self.alpha) / self.kappa - 1.0
-        return None
 
     # -- shape ------------------------------------------------------------------------
 
@@ -211,10 +160,8 @@ class KappaLogistic(Distribution):
 
     def __init__(self, beta, kappa, loc=0.0):
         self.kappa = check_kappa(kappa)
-        self.beta = float(beta)
-        self.loc = float(loc)
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
+        self.beta = check_param("beta", beta)
+        self.loc = check_param("loc", loc, positive=False)
 
     def get_params(self):
         return {"beta": self.beta, "kappa": self.kappa, "loc": self.loc}

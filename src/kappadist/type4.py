@@ -16,64 +16,58 @@ from scipy.special import gammaln
 
 from .core import check_kappa
 from .errors import DegenerateFamilyError, DomainError, MomentDivergesError
-from .framework import Distribution
+from .framework import PowerTransformed
 
 __all__ = ["Type4"]
 
 _KAPPA_FLOOR = 1e-3
 
 
-class Type4(Distribution):
+class Type4(PowerTransformed):
     def __init__(self, alpha, beta, kappa):
-        self.kappa = check_kappa(kappa)
-        if self.kappa < _KAPPA_FLOOR:
+        if check_kappa(kappa) < _KAPPA_FLOOR:
             raise DegenerateFamilyError(
                 f"Type IV degenerates as kappa -> 0; requires kappa >= {_KAPPA_FLOOR:g}"
             )
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        super().__init__(alpha, beta, kappa)
         if not self.alpha > 0.0:
             raise DomainError("alpha must be positive")
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
 
     def get_params(self):
         return {"alpha": self.alpha, "beta": self.beta, "kappa": self.kappa}
 
-    def _log_terms(self, x):
-        """r = 1/(u + sqrt(1 + u^2)) with u = k beta x^alpha, and log cdf.
+    def _log_terms(self, y):
+        """r = 1/(u + sqrt(1 + u^2)) with u = k y, and log cdf.
 
         P^k = 2u r = 1 - r^2: log(2 u r) below u = 1, and log1p(-r^2)
         above it, where log(2u) - asinh(u) would cancel.  Each element
         takes one of the two forms.
         """
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = self.kappa * self.beta * np.power(x, self.alpha)
-            r = 1.0 / (np.sqrt(1.0 + u * u) + u)
-            far = u >= 1.0
-            log_pk = np.log(2.0 * u * r, where=~far, out=np.empty_like(u))
-            np.log1p(-np.square(r), where=far, out=log_pk)
+        u = self.kappa * y
+        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+        far = u >= 1.0
+        log_pk = np.log(2.0 * u * r, where=~far, out=np.empty_like(u))
+        np.log1p(-np.square(r), where=far, out=log_pk)
         return r, log_pk / self.kappa
 
-    def _cdf(self, x):
-        return np.exp(self._log_terms(x)[1])
+    # -- the law of y = beta x^alpha, with cdf P --------------------------------
 
-    def _survival(self, x):
-        return -np.expm1(self._log_terms(x)[1])
+    _y_power = 0.0
 
-    def _logpdf(self, x):
-        r, log_cdf = self._log_terms(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # pdf = (alpha/k) (P/x) (1 - u/sqrt(1+u^2)), and with
-            # sqrt(1+u^2) = (1/r + r)/2 the bracket is 2 r^2/(1 + r^2)
-            out = (
-                math.log(2.0 * self.alpha / self.kappa)
-                - np.log(x)
-                + log_cdf
-                + 2.0 * np.log(r)
-                - np.log1p(r * r)
-            )
-        return np.where(x == 0.0, -np.inf, out)
+    def _y_share(self, y, upper):
+        log_cdf = self._log_terms(y)[1]
+        return -np.expm1(log_cdf) if upper else np.exp(log_cdf)
+
+    def _y_log_regular(self, y):
+        # y pdf_Y = (1/k) P (1 - u/sqrt(1+u^2)), and with
+        # sqrt(1+u^2) = (1/r + r)/2 the bracket is 2 r^2/(1 + r^2)
+        r, log_cdf = self._log_terms(y)
+        return math.log(2.0 / self.kappa) + log_cdf + 2.0 * np.log(r) - np.log1p(r * r)
+
+    def _y_ends(self):
+        # y pdf_Y ~ (2 k y)^(1/k)/k as y -> 0 and 1/(2 k^3 y^2) as y -> inf
+        k = self.kappa
+        return (1.0 / k, math.log(2.0 * k) / k - math.log(k)), (-2.0, -math.log(2.0 * k**3))
 
     def moment_constraint(self):
         return "m < 2*alpha"
@@ -100,21 +94,12 @@ class Type4(Distribution):
             )
         )
 
-    def _quantile_scale(self):
-        return self.beta ** (-1.0 / self.alpha)
-
-    def _pdf_tail_power(self):
-        return 1.0 + 2.0 * self.alpha
-
-    def _pdf_singular_power(self):
-        return self.alpha / self.kappa - 1.0
-
     def _quantile(self, p):
         """Exact inverse: with c = p^k = 1 - r^2, r = sqrt(-expm1(k log p))
         and u = (1/r - r)/2 = c/(2r), the form that keeps both tails exact;
-        then x = (u/(k beta))^(1/alpha)."""
+        then y = u/k."""
         k = self.kappa
         with np.errstate(divide="ignore"):
             log_c = k * np.log(p)
         u = np.exp(log_c) / (2.0 * np.sqrt(-np.expm1(log_c)))
-        return np.power(u / (k * self.beta), 1.0 / self.alpha)
+        return self._x(u / k)

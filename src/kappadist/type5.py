@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa
 from .errors import DomainError, MomentDivergesError, UnsupportedOrderError
-from .framework import Distribution, ModeResult
+from .framework import Distribution, ModeResult, check_param
 
 __all__ = ["Type5"]
 
@@ -35,9 +35,7 @@ class Type5(Distribution):
                 f"Type V implements orders n in {{1, 2, 3}}, got n = {n}"
             )
         self.n = n
-        self.beta = float(beta)
-        if not self.beta > 0.0:
-            raise DomainError("beta must be positive")
+        self.beta = check_param("beta", beta)
 
     def get_params(self):
         return {"n": self.n, "beta": self.beta, "kappa": self.kappa}
