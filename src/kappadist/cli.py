@@ -171,12 +171,10 @@ def _cmd_eval(args, xs=None):
             raise _Usage(f"unknown function {w!r}; choose from {','.join(_WHAT)}")
     if xs is None:
         xs = _parse_floats(args.x, "--x")
-    rows = []
-    for x in xs:
-        row = {"x": float(x)}
-        for w in what:
-            row[w] = float(getattr(dist, w)(float(x)))
-        rows.append(row)
+    xs = np.asarray(xs, dtype=float)
+    # one array call per function gives the same floats as a call per point
+    cols = {"x": xs, **{w: getattr(dist, w)(xs) for w in what}}
+    rows = [{c: float(v[i]) for c, v in cols.items()} for i in range(xs.size)]
     _emit(args, args.family, params, rows, ["x", *what])
     return EXIT_OK
 

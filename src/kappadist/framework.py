@@ -36,6 +36,7 @@ __all__ = [
 _QUANTILE_MAX_ITER = 200
 _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
+_FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
 
 
 def check_param(name, value, positive=True):
@@ -316,10 +317,31 @@ class Distribution:
     # -- shape ----------------------------------------------------------------
 
     def mode(self):
-        """Numerical fallback: golden-section argmax of the pdf."""
-        hi = self.quantile(1.0 - 1e-9)
-        x = oracle.argmax(self.pdf, 1e-12 * hi, hi, tol=1e-12)
+        """Where the density peaks: a pole where pdf ~ x^e with e < 0 at the
+        origin, else the family's _argmax or a golden-section search of log
+        pdf over log x between the 1e-12 and 1 - 1e-9 quantiles; a peak at 0,
+        or within rounding of pdf(0) (pdf flat there), is monotone."""
+        e = self._pdf_singular_power()
+        if e is not None and e < 0.0:
+            return ModeResult(kind="pole", pdf_at_origin=math.inf)
+        x = self._argmax()
+        if x is None:
+            ends = np.clip(self.quantile(np.array([1e-12, 1.0 - 1e-9])), math.ulp(0.0), _FLOAT_MAX)
+            lo, hi = np.log(ends).tolist()
+            x = math.exp(oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12))
+            if self.logpdf(x) <= self._logpdf_at_origin() + 1e-12:  # rounding, not a rise
+                x = 0.0
+        if x == 0.0:
+            p0 = float(np.exp(self._logpdf_at_origin()))  # the bits of pdf(0.0)
+            return ModeResult(kind="monotone", pdf_at_origin=p0)
         return ModeResult(kind="interior", x=x)
+
+    def _argmax(self):
+        """Closed argmax on [0, inf), 0 where pdf falls from the origin, or None."""
+        return None
+
+    def _logpdf_at_origin(self):
+        return self.logpdf(0.0)
 
     def symmetrize(self):
         if self.support_real_line:

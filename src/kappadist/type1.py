@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import _gamma_share, _log_kexp_neg, check_kappa, log_mellin_kappa
 from .errors import DomainError, MomentDivergesError
-from .framework import ModeResult, PowerTransformed, SymmetrizedDistribution, check_param
+from .framework import PowerTransformed, SymmetrizedDistribution, check_param
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
 
@@ -99,27 +99,17 @@ class Type1(PowerTransformed):
 
     # -- shape -------------------------------------------------------------------
 
-    def mode(self):
+    def _argmax(self):
+        # poles (a negative origin power) never get here
+        if self._pdf_singular_power() == 0.0:
+            return 0.0
         a, nu, k = self.alpha, self.nu, self.kappa
         v = k * (nu - 1.0 / a)
-        if a > 0.0:
-            if nu < 1.0 / a:
-                return ModeResult(kind="pole", pdf_at_origin=math.inf)
-            if nu == 1.0 / a:
-                return ModeResult(kind="monotone", pdf_at_origin=self.norm_constant())
-        else:
-            if not v < 1.0:
-                if self._pdf_singular_power() < 0.0:
-                    return ModeResult(kind="pole", pdf_at_origin=math.inf)
-                return ModeResult(
-                    kind="monotone", pdf_at_origin=math.exp(self._logpdf_at_origin())
-                )
-        x = (
+        return (
             self.beta ** (-1.0 / a)
             * (nu - 1.0 / a) ** (1.0 / a)
             * (1.0 - v * v) ** (-0.5 / a)
         )
-        return ModeResult(kind="interior", x=x)
 
 
 # --------------------------------------------------------------------------

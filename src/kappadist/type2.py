@@ -4,7 +4,7 @@ Type II is Type III at lambda = 1 and inherits its cdf, survival,
 density, hazard rate, cumulative hazard (arcsinh form) and closed-form
 quantile.  What needs lambda = 1 lives here: the closed hazard, moments
 through the Mellin transform (either sign of alpha), Gini, Lorenz
-(alpha = 1) and mode.
+(alpha = 1) and the closed argmax.
 alpha < 0 turns the cdf expression into the survival function.
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import _log_mellin_ratio, _maybe_item
 from .errors import DomainError, MomentDivergesError
-from .framework import ModeResult
 from .type3 import Type3
 
 __all__ = ["Type2"]
@@ -92,18 +91,16 @@ class Type2(Type3):
 
     # -- shape ------------------------------------------------------------------------
 
-    def mode(self):
+    def _argmax(self):
         a, b, k = self.alpha, self.beta, self.kappa
-        if not a > 1.0:
-            return super().mode()  # markers at alpha <= 1, numeric argmax for alpha < 0
+        if not a > 1.0:  # 0 < alpha < 1 is a pole, alpha < 0 is searched for
+            return 0.0 if a == 1.0 else None
         if k == 0.0:
-            x = b ** (-1.0 / a) * ((a - 1.0) / a) ** (1.0 / a)
-            return ModeResult(kind="interior", x=x)
+            return b ** (-1.0 / a) * ((a - 1.0) / a) ** (1.0 / a)
         big = (a * a + 2.0 * k * k * (a - 1.0)) / (2.0 * k * k * (a * a - k * k))
         r = 4.0 * k * k * (a * a - k * k) * (a - 1.0) ** 2 / (
             a * a + 2.0 * k * k * (a - 1.0)
         ) ** 2
         # sqrt(1+r) - 1 without cancellation
         inner = r / (math.sqrt(1.0 + r) + 1.0)
-        x = b ** (-1.0 / a) * (big * inner) ** (0.5 / a)
-        return ModeResult(kind="interior", x=x)
+        return b ** (-1.0 / a) * (big * inner) ** (0.5 / a)

@@ -58,9 +58,10 @@ class Type3(PowerTransformed):
         return self._on_support(self._cum_hazard, x, 0.0)
 
     def _cum_hazard(self, x):
-        if self.alpha < 0.0:
-            return -np.log(self._survival(x))
+        # 0 - log: +0.0 where the survival is 1, +inf where it is 0
         with np.errstate(divide="ignore", over="ignore"):
+            if self.alpha < 0.0:
+                return 0.0 - np.log(self._survival(x))
             return -_log_kexp_neg(self._y(x), self.kappa)
 
     # -- the law of y = beta x^alpha, from E = kappa_exp(-y) --------------------
@@ -137,16 +138,6 @@ class Type3(PowerTransformed):
                 self.moment_constraint() if m > 0 else "m > alpha/kappa",
                 f"alpha/kappa = {self.alpha / self.kappa:g}, got m = {m:g}",
             )
-
-    # -- shape ------------------------------------------------------------------------
-
-    def mode(self):
-        a = self.alpha
-        if a == 1.0 and self.lam >= 1.0:
-            return ModeResult(kind="monotone", pdf_at_origin=self.beta / self.lam)
-        if 0.0 < a < 1.0:
-            return ModeResult(kind="pole", pdf_at_origin=math.inf)
-        return super().mode()
 
 
 class KappaLogistic(Distribution):

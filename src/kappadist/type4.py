@@ -44,7 +44,7 @@ class Type4(PowerTransformed):
         takes one of the two forms.
         """
         u = self.kappa * y
-        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+        r = 1.0 / (np.hypot(1.0, u) + u)  # sqrt(1 + u^2) without overflowing u^2
         far = u >= 1.0
         log_pk = np.log(2.0 * u * r, where=~far, out=np.empty_like(u))
         np.log1p(-np.square(r), where=far, out=log_pk)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa
 from .errors import DomainError, MomentDivergesError, UnsupportedOrderError
-from .framework import Distribution, ModeResult, check_param
+from .framework import Distribution, check_param
 
 __all__ = ["Type5"]
 
@@ -115,10 +115,8 @@ class Type5(Distribution):
     def _pdf_tail_power(self):
         return None if self.kappa == 0.0 else self.n + 1.0 / self.kappa
 
-    def mode(self):
+    def _argmax(self):
         # pdf'(0) is -beta^2 (n = 1), beta^2 (k^2 - 1) (n = 2) and
         # beta^2 (4 k^2 - 1) (n = 3); the deformation cannot create a
         # stationary point once the density starts falling
-        if self.n < 3 or self.kappa < 0.5:
-            return ModeResult(kind="monotone", pdf_at_origin=self.pdf(0.0))
-        return super().mode()
+        return 0.0 if self.n < 3 or self.kappa < 0.5 else None

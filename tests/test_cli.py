@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kappadist
+from kappadist import cli
 from kappadist.cli import run
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -272,3 +273,66 @@ class TestEntryPoint:
     def test_usage_error_exit_code(self):
         proc = run_console_script("frobnicate")
         assert proc.returncode == 2
+
+
+# one object per line: every family, either sign of alpha, light and heavy tails
+_PIN_OBJECTS = [
+    ("type1", {"alpha": 2.5, "beta": 1.0, "nu": 0.5, "kappa": 0.3}),
+    ("type1", {"alpha": -1.5, "beta": 2.0, "nu": 2.0, "kappa": 0.2}),
+    ("type1", {"alpha": 1.0, "beta": 1.0, "nu": 1.0, "kappa": 0.9}),
+    ("type2", {"alpha": 2.0, "beta": 1.0, "kappa": 0.3}),
+    ("type2", {"alpha": -0.7, "beta": 2.0, "kappa": 0.9}),
+    ("type3", {"alpha": 1.5, "beta": 1.0, "lam": 2.0, "kappa": 0.5}),
+    ("type3", {"alpha": -1.5, "beta": 1.0, "lam": 0.5, "kappa": 0.6}),
+    ("type4", {"alpha": 2.5, "beta": 1.0, "kappa": 0.3}),
+    ("type4", {"alpha": 0.5, "beta": 1.0, "kappa": 0.9}),
+    ("type5", {"n": 1, "beta": 1.0, "kappa": 0.3}),
+    ("type5", {"n": 2, "beta": 1.5, "kappa": 0.6}),
+    ("type5", {"n": 3, "beta": 1.0, "kappa": 0.9}),
+]
+_POINTS = "0,-1,inf,-inf,nan,1e-300,1e300,5e-324,1e-12,0.5,1,2.5,7,1e6"
+
+
+def _scalar_loop_csv(family, params, xs):
+    """The table a per-point scalar call of every function would print."""
+    from kappadist.fitting import FAMILIES
+
+    dist = FAMILIES[family][0](**params)
+    what = [w for w in ("pdf", "logpdf", "cdf", "survival", "hazard", "cum_hazard") if hasattr(dist, w)]
+    lines = [",".join(["x", *what])]
+    for x in xs:
+        row = [float(x)] + [float(getattr(dist, w)(float(x))) for w in what]
+        lines.append(",".join(repr(v) for v in row))
+    return ",".join(what), "\n".join(lines) + "\n"
+
+
+class TestArrayEvaluationMatchesScalarLoop:
+    """eval and tabulate call each function once on the whole array; the
+    table is byte-identical to calling it once per point."""
+
+    @pytest.mark.parametrize("family, params", _PIN_OBJECTS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("grid", [None, "log:1e-300:1e300:200", "lin:-1:30:200"])
+    def test_byte_identical(self, family, params, grid, capsys):
+        flags = [tok for k, v in params.items() for tok in (f"--{k}", str(v))]
+        xs = [float(t) for t in _POINTS.split(",")] if grid is None else cli._parse_grid(grid)
+        what, expect = _scalar_loop_csv(family, params, xs)
+        where = ["eval", "--x", _POINTS] if grid is None else ["tabulate", "--grid", grid]
+        code, out, _ = invoke([where[0], "--family", family, *flags, *where[1:], "--what", what], capsys)
+        assert code == 0
+        assert out == expect
+
+    def test_empty_point_list(self, capsys):
+        code, out, _ = invoke(
+            ["eval", "--family", "type2", "--alpha", "2", "--beta", "1", "--kappa", "0.3", "--x", ","],
+            capsys,
+        )
+        assert code == 0 and out == "x,pdf\n"
+
+    def test_cum_hazard_at_origin_is_positive_zero(self, capsys):
+        code, out, err = invoke(
+            ["eval", "--family", "type2", "--alpha", "-0.7", "--beta", "2", "--kappa", "0.9",
+             "--x", "0,inf", "--what", "cum_hazard"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out == "x,cum_hazard\n0.0,0.0\ninf,inf\n"

@@ -261,3 +261,23 @@ class TestDensityAtInfinity:
             assert d.logpdf(x) == -np.inf
         assert np.array_equal(d.pdf(np.array(ends)), np.zeros(len(ends)))
         assert np.array_equal(d.logpdf(np.array(ends)), np.full(len(ends), -np.inf))
+
+
+class TestErlangOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_survival_against_mpmath_tail_integral(self, n):
+        """The closed Erlang survival against 50-digit quadrature of the
+        density's tail over its total; x = sinh(s)/k turns kappa_exp(-x)
+        into exp(-s/k), so both integrands decay exponentially."""
+        kappa = min(0.9 / n, 0.3)
+        d = KappaErlang(n, 1.0, kappa)
+        with mpmath.workdps(50):
+            k = mpmath.mpf(kappa)
+
+            def f(s):
+                return (mpmath.sinh(s) / k) ** (n - 1) * mpmath.exp(-s / k) * mpmath.cosh(s)
+
+            total = mpmath.quad(f, [0, mpmath.inf])
+            for z in (0.1, 1.0, 5.0, 30.0):
+                expect = float(mpmath.quad(f, [mpmath.asinh(k * z), mpmath.inf]) / total)
+                assert d.survival(z) == pytest.approx(expect, rel=1e-13)

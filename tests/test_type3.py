@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -230,3 +231,27 @@ class TestTailsFromLogE:
         assert d.pdf(np.inf) == 0.0
         assert d.logpdf(np.inf) == -np.inf
         assert np.array_equal(d.logpdf(np.array([np.inf, np.inf])), [-np.inf, -np.inf])
+
+
+class TestCumHazardEnds:
+    """cum_hazard is +0.0 at the origin and +inf where the survival
+    vanishes, at either sign of alpha, without a warning."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [Type2(-0.7, 2.0, 0.9), Type3(-1.5, 1.0, 0.5, 0.6), Type2(1.5, 1.0, 0.3), Type3(2.0, 1.0, 2.0, 0.0)],
+        ids=repr,
+    )
+    def test_ends(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_origin = d.cum_hazard(0.0)
+            far = d.cum_hazard(np.inf)
+            arr = d.cum_hazard(np.array([0.0, 1.0, 1e300, np.inf]))
+            # about 1035 for Type3(-1.5, 1, 0.5, 0.6); y = x^-1.5 underflows there
+            big = d.cum_hazard(1e300)
+        assert at_origin == 0.0 and math.copysign(1.0, at_origin) == 1.0
+        assert far == math.inf
+        assert math.copysign(1.0, arr[0]) == 1.0 and arr[0] == 0.0 and arr[-1] == math.inf
+        assert arr[1] == pytest.approx(d.cum_hazard(1.0), rel=1e-15)
+        assert big > 400.0 and arr[2] == big

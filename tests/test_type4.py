@@ -123,6 +123,29 @@ class TestQuantileAndSampling:
 
 
 class TestFarTail:
+    @pytest.mark.parametrize("u", [1e154, 1e160, 1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("alpha, kappa", [(1.5, 0.3), (2.5, 0.9)])
+    def test_logpdf_past_u_overflow(self, alpha, kappa, u):
+        # u = k beta x^alpha past 1.3e154, where u*u overflows
+        x = (u / kappa) ** (1.0 / alpha)
+        # pdf = (alpha/x) (1/k) P (1 - u/sqrt(1 + u^2)), P = (1 - r^2)^(1/k),
+        # r = exp(-asinh(u)); enough digits to hold 1 - u/sqrt(1 + u^2) as is
+        with mpmath.workdps(2 * int(math.log10(u)) + 60):
+            k, xm = mpmath.mpf(kappa), mpmath.mpf(x)
+            um = k * xm**alpha
+            r2 = mpmath.exp(-2 * mpmath.asinh(um))
+            expect = float(
+                mpmath.log(alpha / (k * xm))
+                + mpmath.log(1 - r2) / k
+                + mpmath.log(1 - um / mpmath.sqrt(1 + um * um))
+            )
+        assert Type4(alpha, 1.0, kappa).logpdf(x) == pytest.approx(expect, rel=1e-13)
+        assert Type4(alpha, 1.0, kappa).logpdf(np.array([x]))[0] == pytest.approx(expect, rel=1e-13)
+
+    def test_logpdf_at_1e62(self):
+        # 400-digit mpmath value; u = 0.3e155
+        assert Type4(2.5, 1.0, 0.3).logpdf(1e62) == pytest.approx(-852.72659262949298, rel=1e-14)
+
     @pytest.mark.parametrize("kappa", [0.3, 0.9])
     def test_cdf_monotone_beyond_cancellation_point(self, kappa):
         d = Type4(1.5, 1.0, kappa)
@@ -142,3 +165,32 @@ class TestFarTail:
             u = k * mpmath.mpf(10) ** 9  # k beta x^alpha at x = 1e6
             exact = -mpmath.expm1((mpmath.log(2 * u) - mpmath.asinh(u)) / k)
             assert d.survival(1e6) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+class TestMomentOracle:
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.5])
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.6, 0.9])
+    def test_raw_moment_against_mpmath_survival_integral(self, alpha, kappa):
+        """<x^m> = beta^(-q) <Y^q>, q = m/alpha, with <Y^q> the 50-digit
+        integral of q y^(q-1) S_Y(y); y = sinh(s)/k makes the cdf
+        (1 - e^(-2s))^(1/k), and below s = 1 the integral is taken as
+        y1^q minus that of q y^(q-1) times the cdf, free of the y^(q-1)
+        singularity."""
+        beta = 1.3
+        d = Type4(alpha, beta, kappa)
+        for m in (0.1, alpha, 0.99 * 2.0 * alpha):
+            with mpmath.workdps(50):
+                k, q = mpmath.mpf(kappa), mpmath.mpf(m) / alpha
+
+                def weight(s):
+                    return q * (mpmath.sinh(s) / k) ** (q - 1) * mpmath.cosh(s) / k
+
+                def log_cdf(s):
+                    return mpmath.log1p(-mpmath.exp(-2 * s)) / k
+
+                head = (mpmath.sinh(1) / k) ** q - mpmath.quad(
+                    lambda s: weight(s) * mpmath.exp(log_cdf(s)), [0, 1]
+                )
+                tail = mpmath.quad(lambda s: -weight(s) * mpmath.expm1(log_cdf(s)), [1, mpmath.inf])
+                expect = float(mpmath.mpf(beta) ** -q * (head + tail))
+            assert d.raw_moment(m) == pytest.approx(expect, rel=1e-12)
