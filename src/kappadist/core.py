@@ -15,7 +15,7 @@ relative precision for every kappa > 0, however small.
 import math
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaincc
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
 from scipy.special import erf as _erf
 
 from .errors import DomainError
@@ -68,11 +68,13 @@ def _gamma_share(y, nu, k, upper):
     With u = k y, r = 1/(u + sqrt(1 + u^2)) and s = r^2 the change of
     variables behind the Mellin closed form gives the upper share
     w1 I_s(a, nu) + w2 I_s(a+1, nu), a = 1/(2k) - nu/2,
-    w1 = (a+nu)/(2a+nu), w2 = a/(2a+nu).  Where s <= 1/2 the lower share
-    is its complement; where s > 1/2 the lower share is
-    w1 I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with 1 - s = 2 u r exact, and
-    the upper one its complement, so each side keeps its relative
-    precision in its own tail.  Past u = 2^500, where s underflows, the
+    w1 = (a+nu)/(2a+nu), w2 = a/(2a+nu).  Below the mean a/(a + nu) of
+    the Beta(a, nu) law of s the lower share is its complement; above it
+    the lower share is w1 I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with
+    1 - s = 2 u r exact, and the upper one its complement, so each side
+    keeps its relative precision in its own tail (at small k the law of s
+    sits close to 1, and a split at s = 1/2 left the upper tail to a
+    complement).  Past u = 2^500, where s underflows, the
     leading term s^a/(a B(a, nu)) of I_s(a, nu) is exact and is taken with
     log s = -2 arcsinh(u).  Below KAPPA_SWITCH the classical regularized
     Gamma shares are used.
@@ -86,7 +88,7 @@ def _gamma_share(y, nu, k, upper):
     a = 0.5 / k - 0.5 * nu
     w1 = (a + nu) / (2.0 * a + nu)
     w2 = a / (2.0 * a + nu)
-    near = s > 0.5
+    near = s > a / (a + nu)
     n_near = np.count_nonzero(near)
     out = np.empty_like(s)
     if n_near < s.size:
@@ -161,11 +163,28 @@ def kappa_exp_tail_exponent(kappa, sign):
 
 
 def _stirling_rest(x):
-    """lnGamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)] for x > 0, of order 1/(12 x)."""
-    if x < 30.0:
+    """lnGamma(x) - [(x - 1/2) ln x - x + ln sqrt(2 pi)] for x > 0, of order
+    1/(12 x); x is a float or an array.
+
+    The lnGamma form loses about eps * lnGamma(x) to cancellation, so
+    from x = 10 on the Stirling series is summed instead.
+    """
+    if isinstance(x, np.ndarray):
+        out = _stirling_series(x)
+        near = x < 10.0
+        xn = x[near]
+        out[near] = gammaln(xn) - (xn - 0.5) * np.log(xn) + xn - _HALF_LOG_2PI
+        return out
+    if x < 10.0:
         return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
-    y = 1.0 / (x * x)  # the Stirling series; its next term is below 1e-19 here
-    return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y * (1.0 / 1680 - y / 1188)))) / x
+    return _stirling_series(x)
+
+
+def _stirling_series(x):
+    """Eight terms of sum_k B_2k / (2k (2k-1) x^(2k-1)); the next is below 2e-18 at x >= 10."""
+    y = 1.0 / (x * x)
+    s = 1.0 / 1188 - y * (691.0 / 360360 - y * (1.0 / 156 - y * (3617.0 / 122400)))
+    return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y * (1.0 / 1680 - y * s)))) / x
 
 
 def _log_mellin_ratio(r, k):
@@ -176,16 +195,20 @@ def _log_mellin_ratio(r, k):
     Stirling's formula turns it into
     (1+r)(1 - log1p(k (2+r))) + (a - 1/2) log1p(-(1+r)/b) + rest(a) - rest(b),
     whose terms are of order r instead of 1/k, so the O(k^2 r^3) result
-    keeps its relative precision as k -> 0.  The caller checks the range.
+    keeps its relative precision as k -> 0.  k may also be an array of
+    positive kappas.  The caller checks the range.
     """
-    if k == 0.0:
+    log1p = math.log1p
+    if isinstance(k, np.ndarray):
+        log1p = np.log1p
+    elif k == 0.0:
         return 0.0
     z = 0.5 / k
     a = z - 0.5 * r
     b = z + 1.0 + 0.5 * r
     return (
-        (1.0 + r) * (1.0 - math.log1p(k * (2.0 + r)))
-        + (a - 0.5) * math.log1p(-(1.0 + r) / b)
+        (1.0 + r) * (1.0 - log1p(k * (2.0 + r)))
+        + (a - 0.5) * log1p(-(1.0 + r) / b)
         + _stirling_rest(a)
         - _stirling_rest(b)
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import (
     BoundaryFitError,
@@ -128,6 +128,8 @@ def _t_to_kappa(t, floor):
 def _default_init(family, sample):
     """Moment-matching starting point, anchored on the classical Weibull
     shape equation CV^2 = Gamma(1+2/a)/Gamma(1+1/a)^2 - 1."""
+    from scipy import optimize
+
     v = sample.values
     mean = float(np.mean(v))
     sd = float(np.std(v))
@@ -160,6 +162,9 @@ def fit_mle(family, sample, init=None, fix_kappa=None):
     profiles out kappa entirely (e.g. fix_kappa=0 gives the classical
     sub-family MLE).  Deterministic given (family, sample, init).
     """
+    # imported here, so only fitting pays for loading scipy.optimize
+    from scipy import optimize
+
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     ctor, floor = FAMILIES[family]

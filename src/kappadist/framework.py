@@ -183,8 +183,9 @@ class Distribution:
                     out[side] = self._solve_quantile(flat[side], upper)
         return out.reshape(p.shape)
 
-    def _solve_quantile(self, q, upper):
-        """x with survival(x) = 1 - q (upper) or cdf(x) = q, elementwise.
+    def _solve_quantile(self, q, upper, target=None):
+        """x with survival(x) = 1 - q (upper) or cdf(x) = q, elementwise;
+        a caller that holds the survival itself passes its log as target.
 
         With F the survival or the cdf, log F(e^t) is monotone in t = log x
         with slope -/+ x pdf / F, so a Newton step costs one F and one pdf
@@ -196,12 +197,13 @@ class Distribution:
         done when its step is a few ulp of t, or its bracket is that narrow.
         """
         tail_fn = self.survival if upper else self.cdf
-        target = np.log1p(-q) if upper else np.log(q)
-        out = np.empty(q.shape)
-        idx = np.arange(q.size)
-        t = math.log(self._quantile_scale()) + np.log(-np.log1p(-q))
-        lo = np.full(q.shape, -np.inf)
-        hi = np.full(q.shape, np.inf)
+        if target is None:
+            target = np.log1p(-q) if upper else np.log(q)
+        out = np.empty(target.shape)
+        idx = np.arange(target.size)
+        t = math.log(self._quantile_scale()) + np.log(-(target if upper else np.log1p(-q)))
+        lo = np.full(target.shape, -np.inf)
+        hi = np.full(target.shape, np.inf)
         cap = _FIRST_STEP
         for _ in range(_QUANTILE_MAX_ITER):
             x = np.exp(t)
@@ -319,8 +321,9 @@ class Distribution:
     def mode(self):
         """Where the density peaks: a pole where pdf ~ x^e with e < 0 at the
         origin, else the family's _argmax or a golden-section search of log
-        pdf over log x between the 1e-12 and 1 - 1e-9 quantiles; a peak at 0,
-        or within rounding of pdf(0) (pdf flat there), is monotone."""
+        pdf over log x between the 1e-12 and 1 - 1e-9 quantiles, widened down
+        to the 1e-300 quantile when the peak sits on the lower end; a peak at
+        0, or within rounding of pdf(0) (pdf flat there), is monotone."""
         e = self._pdf_singular_power()
         if e is not None and e < 0.0:
             return ModeResult(kind="pole", pdf_at_origin=math.inf)
@@ -328,7 +331,11 @@ class Distribution:
         if x is None:
             ends = np.clip(self.quantile(np.array([1e-12, 1.0 - 1e-9])), math.ulp(0.0), _FLOAT_MAX)
             lo, hi = np.log(ends).tolist()
-            x = math.exp(oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12))
+            t = oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12)
+            if t - lo <= 1e-12 * max(1.0, abs(lo) + abs(hi)):  # the peak may lie below the window
+                lo = math.log(max(self.quantile(1e-300), math.ulp(0.0)))
+                t = oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12)
+            x = math.exp(t)
             if self.logpdf(x) <= self._logpdf_at_origin() + 1e-12:  # rounding, not a rise
                 x = 0.0
         if x == 0.0:
@@ -460,14 +467,35 @@ class SymmetrizedDistribution(Distribution):
         return self.half._logpdf(np.abs(x)) - math.log(2.0)
 
     def _cdf(self, x):
-        return 0.5 + 0.5 * np.sign(x) * self.half._cdf(np.abs(x))
+        # left of 0 the cdf is the half-line survival over 2, not 1/2 minus
+        # a share that rounds away the tail
+        ax = np.abs(x)
+        if not np.count_nonzero(x < 0.0):
+            return 0.5 + 0.5 * self.half._cdf(ax)
+        if not np.count_nonzero(x >= 0.0):
+            return 0.5 * self.half._survival(ax)
+        return np.where(x < 0.0, 0.5 * self.half._survival(ax), 0.5 + 0.5 * self.half._cdf(ax))
+
+    def _survival(self, x):
+        return self._cdf(-x)
 
     def quantile(self, p):
+        """Above p = 1/2 the half-line quantile of 2p - 1 (exact); below it
+        the root of survival(x) = 2p, which 1 - 2p would hold only to
+        absolute rounding."""
         parr = np.asarray(p, dtype=float)
         if np.any((parr <= 0.0) | (parr >= 1.0)):
             raise DomainError("symmetrized quantile requires 0 < p < 1")
-        mag = self.half.quantile(np.abs(2.0 * parr - 1.0))
-        return _maybe_item(np.where(parr >= 0.5, mag, -mag))
+        flat = parr.reshape(-1)
+        mag = np.empty(flat.shape)
+        up = flat >= 0.5
+        if np.count_nonzero(up):
+            mag[up] = self.half.quantile(2.0 * flat[up] - 1.0)
+        low = ~up
+        if np.count_nonzero(low):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                mag[low] = self.half._solve_quantile(None, True, np.log(2.0 * flat[low]))
+        return _maybe_item(np.where(up, mag, -mag).reshape(parr.shape))
 
     def check_moment_order(self, m):
         if m % 2 == 0:

@@ -14,8 +14,6 @@ import math
 import os
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .errors import DomainError, NoConvergenceError
 
 _BUDGET_ENV = "KAPPA_DIST_EVAL_BUDGET"
@@ -81,6 +79,10 @@ def integrate_semiaxis(
     Raises NoConvergenceError if the combined error estimate exceeds
     tol * max(1, |value|) or the evaluation budget runs out.
     """
+    # scipy.integrate (which loads scipy.optimize) costs about a third of a
+    # second to import; only quadrature needs it
+    from scipy import integrate
+
     if budget is None:
         budget = _default_budget()
     if not scale > 0.0:

@@ -1,10 +1,11 @@
 """Deformed Weibull family (Type II): survival kappa_exp(-beta x^alpha).
 
 Type II is Type III at lambda = 1 and inherits its cdf, survival,
-density, hazard rate, cumulative hazard (arcsinh form) and closed-form
-quantile.  What needs lambda = 1 lives here: the closed hazard, moments
-through the Mellin transform (either sign of alpha), Gini, Lorenz
-(alpha = 1) and the closed argmax.
+density, hazard rate, cumulative hazard (arcsinh form), closed-form
+quantile and moments, whose series has the single Mellin term
+Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha, here (either sign of
+alpha).  What needs lambda = 1 lives here: the closed hazard, Gini,
+Lorenz (alpha = 1) and the closed argmax.
 alpha < 0 turns the cdf expression into the survival function.
 """
 
@@ -30,22 +31,6 @@ class Type2(Type3):
         if self.alpha < 0.0:
             return super().hazard(x)
         return self.hazard_rate(x)
-
-    # -- moments -------------------------------------------------------------------
-
-    def raw_moment(self, m):
-        """<x^m> = Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha.
-
-        Y = beta x^alpha has survival (alpha > 0) or cdf (alpha < 0)
-        kappa_exp(-y), so <x^m> = beta^(-r) <Y^r>, and <Y^r> is the Mellin
-        transform of the Type II_1 density, r M_k(r), continued to every
-        r > -1 of the window, either sign of alpha.
-        """
-        self.check_moment_order(m)
-        r = m / self.alpha
-        return math.exp(
-            math.lgamma(1.0 + r) - r * math.log(self.beta) + _log_mellin_ratio(r, self.kappa)
-        )
 
     # -- inequality statistics -----------------------------------------------------
 

@@ -17,11 +17,38 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import _log_kexp_neg, _maybe_item, check_kappa, kappa_log
+from .core import _log_kexp_neg, _log_mellin_ratio, _maybe_item, check_kappa, kappa_log
 from .errors import DomainError, MomentDivergesError
 from .framework import Distribution, ModeResult, PowerTransformed, check_param
 
 __all__ = ["Type3", "KappaLogistic"]
+
+# The moment series for lambda <= 1 stops where (1 - lambda)^j < 2^-60.
+# Past this many terms (lambda below about 6e-4) it costs about as much as
+# quadrature, 5-10 ms, and quadrature takes over.
+_SERIES_LOG_TOL = 60.0 * math.log(2.0)
+_MAX_TERMS = 1 << 16
+
+
+def _alternating_weights(n):
+    """w with sum_j (-1)^j a_j ~ sum_(j<n) w_j (-1)^j a_j.
+
+    Algorithm 1 of Cohen, Rodriguez Villegas and Zagier, "Convergence
+    acceleration of alternating series" (Exp. Math. 9, 2000): for a_j the
+    moments of a positive measure on [0, 1] the relative error is about
+    (3 + sqrt 8)^-n.  Every weight lies in (0, 1].
+    """
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b, c, w = -1.0, -d, []
+    for j in range(n):
+        c = b - c
+        w.append(abs(c) / d)
+        b *= (j + n) * (j - n) / ((j + 0.5) * (j + 1.0))
+    return np.array(w)
+
+
+_ALTERNATING = _alternating_weights(30)
 
 
 class Type3(PowerTransformed):
@@ -70,10 +97,13 @@ class Type3(PowerTransformed):
 
     def _y_share(self, y, upper):
         """lambda E/(1 + (lambda-1) E) above y (upper), or (1 - E)/(1 + (lambda-1) E) below."""
+        lam = self.lam
         log_e = _log_kexp_neg(y, self.kappa)
         e = np.exp(log_e)
-        den = 1.0 + (self.lam - 1.0) * e
-        return self.lam * e / den if upper else -np.expm1(log_e) / den
+        below = None if upper and lam >= 1.0 else -np.expm1(log_e)
+        # for lambda < 1, 1 - (1-lambda) E would cancel where E is close to 1
+        den = 1.0 + (lam - 1.0) * e if lam >= 1.0 else lam * e + below
+        return lam * e / den if upper else below / den
 
     def _y_log_regular(self, y):
         # pdf_Y = lambda E / (sqrt(1 + u^2) (1 + (lambda-1) E)^2), u = k y
@@ -123,6 +153,51 @@ class Type3(PowerTransformed):
         return self._x(y)
 
     # -- moments -------------------------------------------------------------------
+
+    def raw_moment(self, m):
+        """<x^m> = Gamma(1+r) beta^(-r) lambda sum_j (1-lambda)^j c^(-r) M_(k/c)(r)/Gamma(r),
+        c = j + 1, r = m/alpha.
+
+        E^c = kappa_exp_(k/c)(-c y) exactly, so the survival
+        lambda E/(1 + (lambda-1) E) of Y = beta x^alpha, expanded in powers
+        of (1-lambda) E, is a sum of Type II survivals at (c beta, k/c),
+        and <x^m> the same sum of their moments; like Type II's, the
+        formula holds at either sign of alpha.  At lambda = 1 it is the
+        single Type II term.  For lambda < 1 the terms are positive and are
+        summed until (1-lambda)^j < 2^-60.  For 1 < lambda <= 2 they
+        alternate: at r > 0 they are the moments, over t = (lambda-1) E in
+        [0, 1], of the positive measure r y^(r-1) E dy, and at r < 0 they
+        are j + 1 times such moments, so the accelerated sum applies; its
+        30 terms agree with 30-digit quadrature to 4e-13 up to r = -0.999,
+        where 20 left 1.5e-12.  Past lambda = 2, or below lambda ~ 6e-4,
+        the moment comes from quadrature.
+        """
+        self.check_moment_order(m)
+        if m == 0:
+            return 1.0
+        lam, k = self.lam, self.kappa
+        if lam > 1.0:
+            n = _ALTERNATING.size
+        else:
+            n = 1.0 if lam == 1.0 else 1.0 + _SERIES_LOG_TOL // -math.log1p(-lam)
+        if lam > 2.0 or n > _MAX_TERMS:
+            return self._moment_by_quadrature(m)
+        r = m / self.alpha
+        log_head = _log_mellin_ratio(r, k)
+        total = 1.0
+        if lam != 1.0:  # the terms j >= 1, relative to the j = 0 one
+            weights = _ALTERNATING if lam > 1.0 else np.ones(int(n))
+            c = np.arange(2.0, weights.size + 1.0)
+            log_rel = (c - 1.0) * math.log(abs(1.0 - lam)) - r * np.log(c)
+            if k > 0.0:
+                log_rel += _log_mellin_ratio(r, k / c) - log_head
+            rel = weights[1:] * np.exp(log_rel)
+            if lam > 1.0:
+                rel[::2] *= -1.0  # the odd j
+            total = lam * (weights[0] + rel.sum())
+        return math.exp(
+            math.lgamma(1.0 + r) - r * math.log(self.beta) + log_head + math.log(total)
+        )
 
     def moment_constraint(self):
         return "m < alpha/kappa"

@@ -131,6 +131,32 @@ class TestKnownShapes:
         res = d.mode()
         assert res.kind == "interior" and 0.0 < res.x < math.inf
 
+    def test_peak_below_the_search_window_closed(self):
+        # pdf = 0.02 x^-1.02 exp(-x^-0.02) peaks at 51^-50, where the cdf is
+        # e^-51 ~ 7e-23, far below the window's lower end quantile(1e-12)
+        d = Type2(-0.02, 1.0, 0.0)
+        assert d.quantile(1e-12) > 1e-80
+        res = d.mode()
+        assert res.kind == "interior"
+        # log pdf is flat to rounding within ~1e-6 of the peak in log x
+        assert res.x == pytest.approx(51.0**-50, rel=1e-5, abs=0.0)
+
+    def test_peak_below_the_search_window_mpmath(self):
+        a, b, k = 0.02, 1.0, 0.01
+        d = Type4(a, b, k)
+        res = d.mode()
+        assert res.kind == "interior" and res.x < 1e-3 * d.quantile(1e-12)
+        with mpmath.workdps(30):
+            a_, b_, k_ = (mpmath.mpf(v) for v in (a, b, k))
+
+            def logpdf(t):  # log pdf at x = e^t: cdf (2kb)^(1/k) x^(a/k) E
+                u = k_ * b_ * mpmath.exp(a_ * t)
+                log_cdf = mpmath.log(2 * k_ * b_) / k_ + a_ / k_ * t - mpmath.asinh(u) / k_
+                return log_cdf + mpmath.log(a_ / k_ * (1 - u / mpmath.sqrt(1 + u * u))) - t
+
+            t_ref = mpmath.findroot(lambda t: mpmath.diff(logpdf, t), math.log(res.x))
+        assert math.log(res.x) == pytest.approx(float(t_ref), rel=1e-8)
+
     @pytest.mark.parametrize(
         "d",
         [Type3(1.0, 1.0, 2.0, k) for k in KAPPAS] + [Type5(3, 1.0, 0.5)],

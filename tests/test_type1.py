@@ -16,6 +16,7 @@ from kappadist import (
     erlang_polynomials,
     oracle,
 )
+from kappadist.core import _gamma_share
 from conftest import integrate_pdf, ks_statistic
 
 GRID = [
@@ -242,6 +243,72 @@ class TestDeepTail:
         d = Type1(-1.5, 1.0, 1.0, 0.95)
         for p in (1e-9, 1e-10):
             assert d.cdf(d.quantile(p)) == pytest.approx(p, rel=1e-12, abs=0.0)
+
+
+def _mp_shares(nu, kappa, y):
+    """40-digit (upper, lower) shares of y, each from its own incomplete Beta."""
+    with mpmath.workdps(40):
+        k, nu, y = mpmath.mpf(kappa), mpmath.mpf(nu), mpmath.mpf(y)
+        u = k * y
+        r = 1 / (u + mpmath.sqrt(1 + u * u))
+        s = r * r
+        a = 1 / (2 * k) - nu / 2
+        w1, w2 = (a + nu) / (2 * a + nu), a / (2 * a + nu)
+
+        def ib(p, q, x):
+            return mpmath.betainc(p, q, 0, x, regularized=True)
+
+        upper = w1 * ib(a, nu, s) + w2 * ib(a + 1, nu, s)
+        lower = w1 * ib(nu, a, 1 - s) + w2 * ib(nu, a + 1, 1 - s)
+        return float(upper), float(lower)
+
+
+class TestSharesAtSmallKappa:
+    """At small kappa the Beta law of s sits close to 1; the share is split
+    at its mean, so the upper tail is no longer 1 - (lower share)."""
+
+    @pytest.mark.parametrize("k", [0.9, 0.3, 0.1, 0.02, 0.01])
+    def test_both_shares_against_mpmath(self, k):
+        ys = np.geomspace(1e-3, 1e3, 25)
+        for nu in (0.5, 2.0, 5.0):
+            if not nu * k < 1.0:
+                continue
+            refs = np.array([_mp_shares(nu, k, y) for y in ys])
+            for got, ref in ((_gamma_share(ys, nu, k, True), refs[:, 0]),
+                             (_gamma_share(ys, nu, k, False), refs[:, 1])):
+                keep = ref >= np.finfo(float).tiny  # below it no double holds the digits
+                err = np.abs(got[keep] / ref[keep] - 1.0)
+                assert err.max() <= 1e-13, (nu, err.max())
+
+    @pytest.mark.parametrize("k", [0.01, 0.02])
+    @pytest.mark.parametrize("a, nu", [(1.0, 2.0), (1.5, 0.5), (-1.5, 2.0)])
+    def test_tail_round_trip(self, a, nu, k):
+        # the survival the solver inverts, and the 40-digit one at its root
+        d = Type1(a, 1.0, nu, k)
+        for e in range(1, 54, 4):  # 1 - 2^-53 is the last double below 1
+            q = 2.0**-e
+            x = d.quantile(1.0 - q)
+            assert d.survival(x) == pytest.approx(q, rel=1e-11, abs=0.0), e
+            upper, lower = _mp_shares(nu, k, mpmath.mpf(x) ** a)
+            assert (upper if a > 0.0 else lower) == pytest.approx(q, rel=1e-11, abs=0.0), e
+
+    @pytest.mark.parametrize("k", [1e-3, 0.02, 0.3])
+    def test_kappa_normal_lower_tail(self, k):
+        # left of 0 the cdf is half the half-line survival, not 1/2 minus
+        # half the share: KappaNormal(1, 1e-3).cdf(-8) read 0
+        b = 1.3
+        d = KappaNormal(b, k)
+        for x in (-0.5, -3.0, -8.0, -20.0):
+            expect = 0.5 * _mp_shares(0.5, k, b * x * x)[0]
+            assert d.cdf(x) == pytest.approx(expect, rel=1e-12, abs=0.0), x
+            assert d.survival(-x) == d.cdf(x)
+            assert d.quantile(d.cdf(x)) == pytest.approx(x, rel=1e-12), x
+
+    def test_far_tail_matches_erlang(self):
+        # 1 - lower read 0.0 here; KappaErlang's polynomial is exact
+        assert Type1(1.0, 1.0, 2.0, 1e-3).survival(60.0) == pytest.approx(
+            KappaErlang(2, 1.0, 1e-3).survival(60.0), rel=1e-12, abs=0.0
+        )
 
 
 class TestDensityAtInfinity:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -255,3 +256,105 @@ class TestCumHazardEnds:
         assert math.copysign(1.0, arr[0]) == 1.0 and arr[0] == 0.0 and arr[-1] == math.inf
         assert arr[1] == pytest.approx(d.cum_hazard(1.0), rel=1e-15)
         assert big > 400.0 and arr[2] == big
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_y_moment(r, lam, k):
+    """30-digit <Y^r> of the law of Y = beta x^alpha: int r y^(r-1) S_Y dy
+    for r > 0 and int -r y^(r-1) F_Y dy for -1 < r < 0.  In w = log y the
+    integrand falls like exp(-rate |w|) at both ends; w = v/rate makes that
+    rate 1."""
+    with mpmath.workdps(30):
+        r, k, lam = mpmath.mpf(r), mpmath.mpf(k), mpmath.mpf(lam)
+        rate = min(r if r > 0 else 1 + r, 1 / k - r if r > 0 else -r)
+
+        def f(v):
+            w = v / rate
+            log_e = -mpmath.asinh(k * mpmath.exp(w)) / k
+            e = mpmath.exp(log_e)
+            share = lam * e if r > 0 else -mpmath.expm1(log_e)  # S_Y or F_Y
+            return abs(r) / rate * mpmath.exp(r * w) * share / (1 + (lam - 1) * e)
+
+        return mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf])
+
+
+def _mp_type3_moment(b, lam, k, r):
+    """<x^m> = beta^(-r) <Y^r> with r = m/alpha."""
+    with mpmath.workdps(30):
+        return float(mpmath.mpf(b) ** -r * _mp_y_moment(r, lam, k))
+
+
+SERIES_ALPHAS = (2.5, 2.0, 1.5, -1.5, -2.5)
+SERIES_KAPPAS = (0.1, 0.3, 0.9)
+SERIES_LAMBDAS = (0.01, 0.05, 0.5, 1.0, 1.5, 1.99, 2.0)
+
+
+class TestSeriesMoments:
+    """For lambda <= 2 the moments are a series of Type II Mellin terms,
+    summed directly (lambda <= 1) or accelerated (1 < lambda <= 2)."""
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Type III moments at lambda <= 2 must not integrate")
+
+        monkeypatch.setattr(oracle, "integrate_semiaxis", refuse)
+
+    @pytest.mark.parametrize("k", SERIES_KAPPAS)
+    @pytest.mark.parametrize("a", SERIES_ALPHAS)
+    def test_against_mpmath(self, a, k, no_quadrature):
+        # <x^m> depends on alpha only through r = m/alpha, so every alpha of
+        # one sign shares the reference at r; r cycles through 5%, 50% and
+        # 95% of its window (-1, 0) or (0, 1/kappa) along lambda
+        b = 1.3
+        for i, lam in enumerate(SERIES_LAMBDAS):
+            f = (0.05, 0.5, 0.95)[(i + SERIES_KAPPAS.index(k)) % 3]
+            r = -f if a < 0.0 else f / k
+            expect = _mp_type3_moment(b, lam, k, r)
+            assert Type3(a, b, lam, k).raw_moment(r * a) == pytest.approx(expect, rel=1e-12), (lam, r)
+
+    def test_edge_of_the_negative_window(self, no_quadrature):
+        # r = -0.999: the accelerated terms grow like (j+1)^0.999
+        for lam in (1.99, 2.0):
+            for k in SERIES_KAPPAS:
+                expect = _mp_type3_moment(1.3, lam, k, -0.999)
+                got = Type3(-1.5, 1.3, lam, k).raw_moment(0.999 * 1.5)
+                assert got == pytest.approx(expect, rel=1e-12), (lam, k)
+
+    def test_order_zero_is_one(self, no_quadrature):
+        for lam in SERIES_LAMBDAS:
+            assert Type3(2.5, 1.3, lam, 0.3).raw_moment(0) == 1.0
+        assert Type2(2.5, 1.3, 0.1).raw_moment(0) == 1.0
+
+    def test_beyond_lambda_two_integrates(self, monkeypatch):
+        calls = []
+        real = oracle.integrate_semiaxis
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "integrate_semiaxis", counted)
+        d = Type3(2.5, 1.3, 5.0, 0.3)
+        assert d.raw_moment(1.0) == pytest.approx(_mp_type3_moment(1.3, 5.0, 0.3, 0.4), rel=1e-9)
+        assert calls == [1]
+
+
+class TestSmallLambdaShares:
+    """For lambda < 1 the denominator 1 + (lambda-1) E is summed as
+    lambda E + (1 - E): near the origin, where E is close to 1, the
+    difference form lost digits and the survival read 1 + 2^-52 at 0."""
+
+    @pytest.mark.parametrize("lam", [0.01, 0.0625, 0.2, 0.7])
+    def test_shares_against_mpmath(self, lam):
+        k = 0.5
+        d = Type3(1.0, 1.0, lam, k)
+        xs = np.geomspace(1e-12, 1e3, 31)
+        sf, cdf = d.survival(xs), d.cdf(xs)
+        with mpmath.workdps(30):
+            for x, s, c in zip(xs, sf, cdf):
+                e = mpmath.exp(-mpmath.asinh(k * mpmath.mpf(x)) / k)
+                den = 1 + (lam - 1) * e
+                assert s == pytest.approx(float(lam * e / den), rel=2e-15, abs=0.0), x
+                assert c == pytest.approx(float((1 - e) / den), rel=2e-15, abs=0.0), x
+        assert d.survival(0.0) == 1.0 and d.cdf(0.0) == 0.0
