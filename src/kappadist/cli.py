@@ -27,14 +27,6 @@ EXIT_NUMERICAL = 4
 _WHAT = ("pdf", "logpdf", "cdf", "survival", "hazard", "cum_hazard")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse exits with 2 already, but route the message explicitly
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _add_family_flags(p):
     p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--alpha", type=float)
@@ -51,8 +43,9 @@ def _add_output_flags(p):
 
 
 def build_parser():
-    top = _Parser(prog="kappadist",
-                  description="power-law tailed distribution toolkit")
+    # argparse reports a usage error on stderr and exits with 2, EXIT_USAGE
+    top = argparse.ArgumentParser(prog="kappadist",
+                                  description="power-law tailed distribution toolkit")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", parents=[], help="evaluate functions at points")

@@ -9,8 +9,9 @@ have in closed form; the base class supplies the missing one of each
 pair, quadrature moments, log-space Newton quantiles, inverse-transform
 sampling and the half-line -> real-line symmetrizer.  On a half line
 x < 0 gives pdf 0, cdf 0 and survival 1 before any family code runs.
-PowerTransformed carries the change of variables Y = beta X^alpha for
-the families that write only the law of Y (Type1, Type3, Type4).
+PowerTransformed carries the change of variables Y = beta X^alpha, with
+its quantiles and moments, for the families that write only the law of
+Y (Type1, Type3, Type4).
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -37,6 +38,7 @@ _QUANTILE_MAX_ITER = 200
 _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def check_param(name, value, positive=True):
@@ -131,10 +133,18 @@ class Distribution:
         return _maybe_item(fn(x))
 
     def _hazard(self, x):
+        """pdf/survival, from log pdf where the pdf underflows first (far out
+        in a power-law tail), and (a - 1)/x for a tail pdf ~ x^-a where the
+        survival underflows too; inf beyond every power."""
         s = self._survival(x)
         p = self._pdf(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s == 0.0, np.inf, p / s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if not np.count_nonzero(p < _TINY):
+                return p / s
+            a = self._pdf_tail_power()
+            far = np.exp(self._logpdf(x) - np.log(s))
+            far = np.where(s == 0.0, math.inf if a is None else (a - 1.0) / x, far)
+            return np.where(p < _TINY, far, p / s)
 
     # A family writes its density once, in linear (_pdf) or log (_logpdf)
     # form, and at least one of _cdf and _survival; each takes and returns
@@ -160,32 +170,31 @@ class Distribution:
         return 1.0
 
     def quantile(self, p):
-        """Inverse cdf; raises DomainError unless 0 <= p < 1."""
+        """Inverse cdf; DomainError unless 0 <= p < 1 (0 < p < 1 on the real line)."""
         parr = np.asarray(p, dtype=float)
-        if not ((parr >= 0.0) & (parr < 1.0)).all():
-            raise DomainError("quantile requires 0 <= p < 1")
+        real = self.support_real_line
+        if not (((parr > 0.0) if real else (parr >= 0.0)) & (parr < 1.0)).all():
+            raise DomainError(f"quantile requires 0 {'<' if real else '<='} p < 1")
         return _maybe_item(self._quantile(parr))
 
-    def _quantile(self, p):
-        """Inverse cdf, by safeguarded Newton iteration on t = log x.
-
-        Below p = 1/2 it solves log cdf(e^t) = log p, above it
-        log survival(e^t) = log1p(-p), so both tails keep their relative
-        precision; p = 0 gives 0.  A 0-d p runs through the same code as
-        an array.  Families with a closed-form inverse override this.
-        Raises NoConvergenceError rather than return an unconverged value.
-        """
+    def _quantile(self, p, upper=False):
+        """x with cdf(x) = p, or with survival(x) = p (upper), elementwise:
+        the log-space solver on the cdf where it is below 1/2, else on the
+        survival, the other share 1 - p being exact from 1/2 on, so both tails
+        keep their relative precision; p = 0 is the end of the support."""
         flat = p.reshape(-1)
-        out = np.zeros(flat.shape)
+        out = np.full(flat.shape, math.inf if upper else 0.0)
+        on_cdf = (flat > 0.5) if upper else (flat < 0.5)
+        inside = flat > 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for side, upper in (((flat > 0.0) & (flat < 0.5), False), (flat >= 0.5, True)):
+            for side, tail in ((on_cdf & inside, False), (~on_cdf & inside, True)):
                 if np.count_nonzero(side):
-                    out[side] = self._solve_quantile(flat[side], upper)
+                    q = flat[side]
+                    out[side] = self._solve_quantile(np.log(q if tail == upper else 1.0 - q), tail)
         return out.reshape(p.shape)
 
-    def _solve_quantile(self, q, upper, target=None):
-        """x with survival(x) = 1 - q (upper) or cdf(x) = q, elementwise;
-        a caller that holds the survival itself passes its log as target.
+    def _solve_quantile(self, target, upper):
+        """x with log survival(x) (upper) or log cdf(x) = target, elementwise.
 
         With F the survival or the cdf, log F(e^t) is monotone in t = log x
         with slope -/+ x pdf / F, so a Newton step costs one F and one pdf
@@ -197,11 +206,10 @@ class Distribution:
         done when its step is a few ulp of t, or its bracket is that narrow.
         """
         tail_fn = self.survival if upper else self.cdf
-        if target is None:
-            target = np.log1p(-q) if upper else np.log(q)
         out = np.empty(target.shape)
         idx = np.arange(target.size)
-        t = math.log(self._quantile_scale()) + np.log(-(target if upper else np.log1p(-q)))
+        log_s = target if upper else np.log1p(-np.exp(target))
+        t = math.log(self._quantile_scale()) + np.log(-log_s)
         lo = np.full(target.shape, -np.inf)
         hi = np.full(target.shape, np.inf)
         cap = _FIRST_STEP
@@ -214,7 +222,8 @@ class Distribution:
             r = target - np.log(tail) if upper else np.log(tail) - target
             np.copyto(lo, t, where=r < 0.0)
             np.copyto(hi, t, where=r > 0.0)
-            step = r * tail / (xs * self.pdf(xs))  # d(log F)/dt = x pdf / F
+            # d(log F)/dt = x pdf / F; no step at an exact root, where the pdf may underflow
+            step = np.where(r == 0.0, 0.0, r * tail / (xs * self.pdf(xs)))
             tn = t - step
             size = np.abs(step)
             tol = _STEP_TOL * (np.abs(t) + 1.0)
@@ -243,7 +252,7 @@ class Distribution:
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
             raise DomainError("size must be an integer >= 1")
         u = gen.random(int(size))
-        u[u == 0.0] = 2.0**-64  # symmetrized quantile excludes p = 0
+        u[u == 0.0] = 2.0**-64  # a real-line quantile excludes p = 0
         return self.quantile(u)
 
     # -- moments -------------------------------------------------------------
@@ -376,7 +385,12 @@ class PowerTransformed(Distribution):
     class maps it to X: alpha < 0 swaps the cdf and the survival,
     pdf_X(x) = |alpha| beta^w x^(alpha w - 1) g(y), and the ends of Y
     give the density's limit at the origin and its powers at both ends.
+    _y_invert(share, upper), the y with that share above it (upper) or
+    below it, and _y_log_moment(r) = log <Y^r> (None: quadrature) give the
+    quantile and <X^m> = beta^(-r) <Y^r>, r = m/alpha.
     """
+
+    _y_invert = None  # the law of Y has no closed inverse: the solver runs on X
 
     def __init__(self, alpha, beta, kappa):
         self.kappa = check_kappa(kappa)
@@ -391,11 +405,6 @@ class PowerTransformed(Distribution):
     def _y(self, x):
         return self.beta * np.power(x, self.alpha)
 
-    def _x(self, y):
-        """Inverse of _y."""
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.power(y / self.beta, 1.0 / self.alpha)
-
     def _cdf(self, x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self._y_share(self._y(x), upper=self.alpha < 0.0)
@@ -403,6 +412,13 @@ class PowerTransformed(Distribution):
     def _survival(self, x):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self._y_share(self._y(x), upper=self.alpha > 0.0)
+
+    def _quantile(self, p, upper=False):
+        if self._y_invert is None:
+            return super()._quantile(p, upper)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = self._y_invert(p, upper != (self.alpha < 0.0))
+            return np.power(y / self.beta, 1.0 / self.alpha)
 
     def _logpdf(self, x):
         w = self._y_power
@@ -447,6 +463,14 @@ class PowerTransformed(Distribution):
     def _quantile_scale(self):
         return self.beta ** (-1.0 / self.alpha)
 
+    def raw_moment(self, m):
+        self.check_moment_order(m)
+        r = m / self.alpha
+        log_moment = 0.0 if m == 0 else self._y_log_moment(r)
+        if log_moment is None:
+            return self._moment_by_quadrature(m)
+        return math.exp(log_moment - r * math.log(self.beta))
+
 
 class SymmetrizedDistribution(Distribution):
     """Even reflection of a half-line distribution onto the real line.
@@ -479,30 +503,29 @@ class SymmetrizedDistribution(Distribution):
     def _survival(self, x):
         return self._cdf(-x)
 
-    def quantile(self, p):
-        """Above p = 1/2 the half-line quantile of 2p - 1 (exact); below it
-        the root of survival(x) = 2p, which 1 - 2p would hold only to
-        absolute rounding."""
-        parr = np.asarray(p, dtype=float)
-        if np.any((parr <= 0.0) | (parr >= 1.0)):
-            raise DomainError("symmetrized quantile requires 0 < p < 1")
-        flat = parr.reshape(-1)
-        mag = np.empty(flat.shape)
+    def _quantile(self, p, upper=False):
+        """The half's quantile of the exact share beyond the median, cdf 2p - 1 from
+        p = 1/2 up, survival 2p below, so mirrored p give mirrored x."""
+        flat = p.reshape(-1)
+        out = np.empty(flat.shape)
         up = flat >= 0.5
         if np.count_nonzero(up):
-            mag[up] = self.half.quantile(2.0 * flat[up] - 1.0)
+            out[up] = self.half._quantile(2.0 * flat[up] - 1.0)
         low = ~up
         if np.count_nonzero(low):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                mag[low] = self.half._solve_quantile(None, True, np.log(2.0 * flat[low]))
-        return _maybe_item(np.where(up, mag, -mag).reshape(parr.shape))
+            out[low] = -self.half._quantile(2.0 * flat[low], upper=True)
+        return (-out if upper else out).reshape(p.shape)
+
+    def _pdf_tail_power(self):
+        return self.half._pdf_tail_power()
 
     def check_moment_order(self, m):
         if m % 2 == 0:
             self.half.check_moment_order(m)
 
     def raw_moment(self, m):
-        m = int(m)
+        if not float(m).is_integer():  # x^m is not real for x < 0
+            raise DomainError(f"moment order of a real-line law must be an integer, got m = {m:g}")
         self.check_moment_order(m)
         if m % 2 == 1:
             return 0.0

@@ -88,14 +88,8 @@ class Type1(PowerTransformed):
                 f"nu + m/alpha = {r:g}, upper bound {bound}",
             )
 
-    def raw_moment(self, m):
-        self.check_moment_order(m)
-        r = self.nu + m / self.alpha
-        return math.exp(
-            -(m / self.alpha) * math.log(self.beta)
-            + log_mellin_kappa(r, self.kappa)
-            - self._log_mellin_nu
-        )
+    def _y_log_moment(self, r):
+        return log_mellin_kappa(self.nu + r, self.kappa) - self._log_mellin_nu
 
     # -- shape -------------------------------------------------------------------
 
@@ -203,10 +197,11 @@ class KappaErlang(Type1):
             body = self.polynomials.r_value(z) + self.polynomials.q_value(z) * np.sqrt(
                 1.0 + (k * z) ** 2
             )
-            out = np.atleast_1d(np.clip(body * np.exp(_log_kexp_neg(z, k)), 0.0, 1.0))
-        # where the body overflows (inf * 0 at x = inf) take the
-        # incomplete-Beta upper fraction
-        far = np.atleast_1d(np.isinf(body) | (x == np.inf))
+            e = np.exp(_log_kexp_neg(z, k))
+            out = np.atleast_1d(np.clip(body * e, 0.0, 1.0))
+        # where the body overflows or kappa_exp(-z) leaves the normal range
+        # (both at x = inf) take the incomplete-Beta upper fraction
+        far = np.atleast_1d(np.isinf(body) | (e < np.finfo(float).tiny))
         if np.count_nonzero(far):
             out[far] = super()._survival(np.atleast_1d(x)[far])
         return out.reshape(x.shape)

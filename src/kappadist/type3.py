@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import _log_kexp_neg, _log_mellin_ratio, _maybe_item, check_kappa, kappa_log
+from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa, kappa_log
 from .errors import DomainError, MomentDivergesError
 from .framework import Distribution, ModeResult, PowerTransformed, check_param
 
@@ -74,10 +74,15 @@ class Type3(PowerTransformed):
         return self._on_support(self._hazard_rate, x, 0.0)
 
     def _hazard_rate(self, x):
+        a, k = self.alpha, self.kappa
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h = self.alpha * self.beta * np.power(x, self.alpha - 1.0)
-            # hypot: sqrt(1 + u^2) without overflowing u^2
-            return h / np.hypot(1.0, self.kappa * self._y(x))
+            h = a * self.beta * np.power(x, a - 1.0)
+            if k == 0.0:
+                return h
+            # hypot: sqrt(1 + u^2) without overflowing u^2; past the largest
+            # float y, h is alpha/(k x) to every digit
+            y = self._y(x)
+            return np.where(np.isinf(y), a / (k * x), h / np.hypot(1.0, k * y))
 
     def cum_hazard(self, x):
         """H(x) = arcsinh(kappa beta x^alpha)/kappa, Type II's; classical
@@ -121,6 +126,17 @@ class Type3(PowerTransformed):
         far = None if k == 0.0 else (-1.0 / k, math.log(self.lam / k) - math.log(2.0 * k) / k)
         return (1.0, -math.log(self.lam)), far
 
+    def _y_invert(self, share, upper):
+        """The share solved for log E, E = s/(1 + (lambda-1)(1 - s)) above y
+        or (1 - c)/(1 + (lambda-1) c) below it, each log through log1p so
+        both tails keep their relative precision; y = sinh(-k log E)/k."""
+        lam, k = self.lam, self.kappa
+        if upper:
+            log_e = np.log(share) - np.log1p((lam - 1.0) * (1.0 - share))
+        else:
+            log_e = np.log1p(-share) - np.log1p((lam - 1.0) * share)
+        return -log_e if k == 0.0 else -np.sinh(k * log_e) / k
+
     def rate_residual(self, x):
         """Residual of dS/dx + h S (1 - (lambda-1)/lambda S) at x.
 
@@ -134,35 +150,16 @@ class Type3(PowerTransformed):
         s = self.survival(x)
         return ds + self.hazard_rate(x) * s * (1.0 - (self.lam - 1.0) / self.lam * s)
 
-    # -- quantile ---------------------------------------------------------------
-
-    def _quantile(self, p):
-        """Closed form: the cdf solved for log E, then y = -ln_k(E) = sinh(-k log E)/k.
-
-        alpha > 0: E = (1 - p)/(1 + (lambda-1) p); alpha < 0:
-        E = p/(1 + (lambda-1)(1 - p)).  Each log is taken through log1p,
-        so both tails keep their relative precision.
-        """
-        lam, k = self.lam, self.kappa
-        with np.errstate(divide="ignore", over="ignore"):
-            if self.alpha > 0.0:
-                log_e = np.log1p(-p) - np.log1p((lam - 1.0) * p)
-            else:
-                log_e = np.log(p) - np.log1p((lam - 1.0) * (1.0 - p))
-            y = -log_e if k == 0.0 else -np.sinh(k * log_e) / k
-        return self._x(y)
-
     # -- moments -------------------------------------------------------------------
 
-    def raw_moment(self, m):
-        """<x^m> = Gamma(1+r) beta^(-r) lambda sum_j (1-lambda)^j c^(-r) M_(k/c)(r)/Gamma(r),
-        c = j + 1, r = m/alpha.
+    def _y_log_moment(self, r):
+        """<Y^r> = Gamma(1+r) lambda sum_j (1-lambda)^j c^(-r) M_(k/c)(r)/Gamma(r), c = j + 1.
 
         E^c = kappa_exp_(k/c)(-c y) exactly, so the survival
-        lambda E/(1 + (lambda-1) E) of Y = beta x^alpha, expanded in powers
-        of (1-lambda) E, is a sum of Type II survivals at (c beta, k/c),
-        and <x^m> the same sum of their moments; like Type II's, the
-        formula holds at either sign of alpha.  At lambda = 1 it is the
+        lambda E/(1 + (lambda-1) E) of Y, expanded in powers of
+        (1-lambda) E, is a sum of Type II survivals at (c, k/c), and <Y^r>
+        the same sum of their moments, at either sign of r (so of alpha)
+        inside the window -1 < r < 1/kappa.  At lambda = 1 it is the
         single Type II term.  For lambda < 1 the terms are positive and are
         summed until (1-lambda)^j < 2^-60.  For 1 < lambda <= 2 they
         alternate: at r > 0 they are the moments, over t = (lambda-1) E in
@@ -170,19 +167,15 @@ class Type3(PowerTransformed):
         are j + 1 times such moments, so the accelerated sum applies; its
         30 terms agree with 30-digit quadrature to 4e-13 up to r = -0.999,
         where 20 left 1.5e-12.  Past lambda = 2, or below lambda ~ 6e-4,
-        the moment comes from quadrature.
+        it is None, and the moment comes from quadrature.
         """
-        self.check_moment_order(m)
-        if m == 0:
-            return 1.0
         lam, k = self.lam, self.kappa
         if lam > 1.0:
             n = _ALTERNATING.size
         else:
             n = 1.0 if lam == 1.0 else 1.0 + _SERIES_LOG_TOL // -math.log1p(-lam)
         if lam > 2.0 or n > _MAX_TERMS:
-            return self._moment_by_quadrature(m)
-        r = m / self.alpha
+            return None
         log_head = _log_mellin_ratio(r, k)
         total = 1.0
         if lam != 1.0:  # the terms j >= 1, relative to the j = 0 one
@@ -195,9 +188,7 @@ class Type3(PowerTransformed):
             if lam > 1.0:
                 rel[::2] *= -1.0  # the odd j
             total = lam * (weights[0] + rel.sum())
-        return math.exp(
-            math.lgamma(1.0 + r) - r * math.log(self.beta) + log_head + math.log(total)
-        )
+        return math.lgamma(1.0 + r) + log_head + math.log(total)
 
     def moment_constraint(self):
         return "m < alpha/kappa"
@@ -233,7 +224,13 @@ class KappaLogistic(Distribution):
         return {"beta": self.beta, "kappa": self.kappa, "loc": self.loc}
 
     def _cdf(self, x):
-        return 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
+        # E overflows only where the cdf is below every float
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
+
+    def _survival(self, x):
+        # E(z) E(-z) = 1: the cdf mirrored about loc, not 1 - cdf
+        return self._cdf(2.0 * self.loc - x)
 
     def _pdf(self, x):
         # E(z) E(-z) = 1 makes the density even in z; at |z| it is 0, not
@@ -244,11 +241,10 @@ class KappaLogistic(Distribution):
         root = np.hypot(1.0, k * z) if k > 0.0 else 1.0  # sqrt(1 + (k z)^2)
         return self.beta * e / (root * np.square(1.0 + e))
 
-    def quantile(self, p):
-        parr = np.asarray(p, dtype=float)
-        if np.any((parr <= 0.0) | (parr >= 1.0)):
-            raise DomainError("quantile requires 0 < p < 1")
-        return _maybe_item(self.loc + kappa_log(parr / (1.0 - parr), self.kappa) / self.beta)
+    def _quantile(self, p, upper=False):
+        # survival(x) = p is cdf(x) = 1 - p
+        odds = (1.0 - p) / p if upper else p / (1.0 - p)
+        return self.loc + kappa_log(odds, self.kappa) / self.beta
 
     def raw_moment(self, m):
         raise DomainError("moments of the full-line logistic are not provided")

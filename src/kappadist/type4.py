@@ -12,7 +12,6 @@ ends of the support; the same identity inverts the cdf in closed form.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import check_kappa
 from .errors import DegenerateFamilyError, DomainError, MomentDivergesError
@@ -73,33 +72,25 @@ class Type4(PowerTransformed):
         return "m < 2*alpha"
 
     def check_moment_order(self, m):
-        if m < 0:
-            raise MomentDivergesError("m >= 0", f"got m = {m}")
+        super().check_moment_order(m)  # m >= 0
         if m > 0 and not m < 2.0 * self.alpha:
             raise MomentDivergesError(
                 self.moment_constraint(), f"2*alpha = {2.0 * self.alpha:g}, got m = {m:g}"
             )
 
-    def raw_moment(self, m):
-        self.check_moment_order(m)
-        if m == 0:
-            return 1.0
-        a, k, b = self.alpha, self.kappa, self.beta
-        r = m / a
+    def _y_log_moment(self, r):
+        # <Y^r> = (2k)^-r Gamma(1/k + r) Gamma(1 - r/2) / ((1 + k r/2) Gamma(1/k + r/2))
+        k = self.kappa
         return (
-            (2.0 * k * b) ** (-r)
-            / (1.0 + 0.5 * k * r)
-            * math.exp(
-                gammaln(1.0 / k + r) + gammaln(1.0 - 0.5 * r) - gammaln(1.0 / k + 0.5 * r)
-            )
+            math.lgamma(1.0 / k + r) + math.lgamma(1.0 - 0.5 * r) - math.lgamma(1.0 / k + 0.5 * r)
+            - r * math.log(2.0 * k) - math.log1p(0.5 * k * r)
         )
 
-    def _quantile(self, p):
-        """Exact inverse: with c = p^k = 1 - r^2, r = sqrt(-expm1(k log p))
-        and u = (1/r - r)/2 = c/(2r), the form that keeps both tails exact;
-        then y = u/k."""
+    def _y_invert(self, share, upper):
+        """Exact inverse: with c = P^k = 1 - r^2 for the cdf P (1 - share
+        above y), r = sqrt(-expm1(k log P)) and u = (1/r - r)/2 = c/(2r),
+        the form that keeps both tails exact; then y = u/k."""
         k = self.kappa
-        with np.errstate(divide="ignore"):
-            log_c = k * np.log(p)
+        log_c = k * (np.log1p(-share) if upper else np.log(share))
         u = np.exp(log_c) / (2.0 * np.sqrt(-np.expm1(log_c)))
-        return self._x(u / k)
+        return u / k

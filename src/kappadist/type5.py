@@ -86,8 +86,7 @@ class Type5(Distribution):
         return "m < n - 1 + 1/kappa"
 
     def check_moment_order(self, m):
-        if m < 0:
-            raise MomentDivergesError("m >= 0", f"got m = {m}")
+        super().check_moment_order(m)  # m >= 0
         if self.kappa > 0.0 and not m < self.n - 1.0 + 1.0 / self.kappa:
             raise MomentDivergesError(
                 self.moment_constraint(),

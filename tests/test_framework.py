@@ -197,3 +197,17 @@ class TestVarianceDiverges:
         with pytest.raises(VarianceDivergesError) as variance:
             d.variance()
         assert variance.value.constraint == moment.value.constraint
+
+
+class TestSymmetricMomentOrders:
+    def test_non_integer_order_is_a_domain_error(self):
+        d = KappaNormal(1.0, 0.3)
+        for m in (2.5, 1.5, 3.7, math.nan):
+            with pytest.raises(DomainError):
+                d.raw_moment(m)
+
+    def test_integer_orders(self):
+        d = KappaNormal(1.0, 0.3)
+        assert d.raw_moment(2.0) == d.raw_moment(2) == d.half.raw_moment(2)
+        assert d.raw_moment(3) == 0.0 and d.raw_moment(1.0) == 0.0
+        assert d.raw_moment(0) == 1.0

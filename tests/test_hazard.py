@@ -1,0 +1,74 @@
+"""The hazard over the whole half line: pdf/survival in the bulk, the log
+form where the pdf underflows first, and the power-law tail's (a - 1)/x
+where the survival underflows too."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from kappadist import KappaErlang, KappaNormal, Type1, Type2, Type3, Type4, Type5
+
+FAR = np.array([1e50, 1e100, 1e200, 1e300, np.inf])
+
+POWER_TAILS = [
+    Type1(1.5, 1.0, 1.0, 0.3),
+    Type3(1.5, 1.0, 2.0, 0.3),
+    Type3(-1.5, 1.0, 0.5, 0.9),
+    Type4(1.5, 1.0, 0.3),
+    Type5(2, 1.0, 0.3),
+    KappaErlang(2, 1.0, 0.3),
+    KappaNormal(1.0, 0.3),
+    Type2(-1.5, 1.0, 0.3),
+    Type2(1.5, 1.0, 0.3),  # the closed hazard rate
+]
+
+
+@pytest.mark.parametrize("d", POWER_TAILS, ids=repr)
+def test_far_tail_hazard_is_a_minus_one_over_x(d):
+    a = d._pdf_tail_power()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = d.hazard(FAR)
+        scalars = [d.hazard(float(x)) for x in FAR]
+    np.testing.assert_allclose(h, (a - 1.0) / FAR, rtol=1e-12, atol=0.0)
+    assert h[-1] == 0.0
+    assert np.array_equal(h, scalars)
+
+
+@pytest.mark.parametrize("d", [Type1(1.5, 1.0, 1.0, 0.0), Type5(2, 1.0, 0.0)], ids=repr)
+def test_no_tail_power_keeps_inf(d):
+    # kappa = 0: the survival underflows beyond every power
+    assert d.hazard(1e300) == math.inf
+    assert d.hazard(math.inf) == math.inf
+
+
+def test_bulk_hazard_is_pdf_over_survival():
+    d = Type1(1.5, 1.0, 1.0, 0.3)
+    x = np.geomspace(1e-3, 1e3, 200)
+    assert np.array_equal(d.hazard(x), d.pdf(x) / d.survival(x))
+
+
+class TestHazardRateEnds:
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_zero_at_infinity(self):
+        assert Type2(1.5, 1.0, 0.3).hazard(math.inf) == 0.0
+        assert Type3(1.5, 1.0, 2.0, 0.3).hazard_rate(math.inf) == 0.0
+
+    def test_classical_where_y_overflows(self):
+        # h = alpha beta x^(alpha - 1), with no 0 * inf from kappa y
+        assert Type2(1.5, 1.0, 0.0).hazard_rate(1e300) == pytest.approx(1.5e150, rel=1e-15)
+        assert Type2(1.5, 1.0, 0.0).hazard_rate(math.inf) == math.inf
+
+    def test_deformed_where_y_overflows(self):
+        # u = kappa y past the largest float: h = alpha/(kappa x)
+        d = Type2(2.0, 1.0, 0.3)
+        assert d.hazard_rate(1e300) == pytest.approx(2.0 / (0.3 * 1e300), rel=1e-15)
+        x = np.array([1.0, 1e100, 1e200, 1e300])
+        assert np.array_equal(d.hazard_rate(x), [d.hazard_rate(float(v)) for v in x])

@@ -348,3 +348,12 @@ class TestErlangOracle:
             for z in (0.1, 1.0, 5.0, 30.0):
                 expect = float(mpmath.quad(f, [mpmath.asinh(k * z), mpmath.inf]) / total)
                 assert d.survival(z) == pytest.approx(expect, rel=1e-13)
+
+
+class TestErlangFarTail:
+    @pytest.mark.parametrize("x", [1e90, 1e95, 1e98, 1e100, 1e150, 1e200])
+    def test_survival_where_kappa_exp_leaves_the_normal_range(self, x):
+        # the polynomial body times kappa_exp(-x) loses its digits once the
+        # latter is subnormal; the incomplete-Beta share takes over
+        got = KappaErlang(2, 1.0, 0.3).survival(x)
+        assert got == pytest.approx(Type1(1.0, 1.0, 2.0, 0.3).survival(x), rel=1e-12, abs=0.0)

@@ -358,3 +358,22 @@ class TestSmallLambdaShares:
                 assert s == pytest.approx(float(lam * e / den), rel=2e-15, abs=0.0), x
                 assert c == pytest.approx(float((1 - e) / den), rel=2e-15, abs=0.0), x
         assert d.survival(0.0) == 1.0 and d.cdf(0.0) == 0.0
+
+
+class TestKappaLogisticUpperTail:
+    @pytest.mark.parametrize("x", [40.0, 1e3, 1e10, 1e50])
+    def test_survival_is_the_cdf_mirrored(self, x):
+        d = KappaLogistic(1.0, 0.3)
+        with mpmath.workdps(40):
+            k, z = mpmath.mpf(0.3), mpmath.mpf(x)
+            e = mpmath.exp(-mpmath.asinh(k * z) / k)
+            expect = float(e / (1 + e))
+        assert d.survival(x) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_far_tails_underflow_without_a_warning(self):
+        # the true shares, about 1e-333, are below every normal float
+        d = KappaLogistic(1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= d.survival(1e100) < 1e-300
+            assert 0.0 <= d.cdf(-1e100) < 1e-300
