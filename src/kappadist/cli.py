@@ -66,7 +66,7 @@ def build_parser():
     p.add_argument("--orders", required=True, help="comma-separated moment orders")
     _add_output_flags(p)
 
-    p = sub.add_parser("sample", help="reproducible inverse-transform draws")
+    p = sub.add_parser("sample", help="reproducible exact draws")
     _add_family_flags(p)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

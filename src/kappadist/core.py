@@ -1,10 +1,11 @@
-"""Deformed elementary functions, the master Mellin integral and the two
-kernels every family is built from.
+"""Deformed elementary functions, the master Mellin integral, the two
+kernels every family is built from and the Type I law's exact sampler.
 
-Everything in this module is a pure function of its arguments.  The
-deformation parameter ``kappa`` lives in [0, 1); kappa = 0 is the exact
-classical limit (ordinary exp/log/erf/Gamma) and is always handled by a
-dedicated branch so no formula ever divides by kappa = 0.
+Everything in this module is a pure function of its arguments, save that
+the sampler advances the generator it is given.  The deformation
+parameter ``kappa`` lives in [0, 1); kappa = 0 is the exact classical
+limit (ordinary exp/log/erf/Gamma) and is always handled by a dedicated
+branch so no formula ever divides by kappa = 0.
 
 The Mellin transform M_k(r) of kappa_exp(-x) is Gamma(r) times a ratio
 of Gamma functions at arguments of order 1/(2 kappa); that ratio is
@@ -107,6 +108,38 @@ def _gamma_share(y, nu, k, upper):
         up = w1 * np.exp(a * log_s - math.log(a) - betaln(a, nu))
         out[deep] = up if upper else 1.0 - up
     return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
+
+
+def _log_gamma_draw(gen, shape, size):
+    """log of size standard Gamma(shape) draws, as log G_(shape+1) + log(U)/shape:
+    exact also where G itself underflows, at a tiny shape."""
+    return np.log(gen.standard_gamma(shape + 1.0, size)) + np.log1p(-gen.random(size)) / shape
+
+
+def _gamma_share_log_draw(gen, size, nu, k):
+    """log y for size draws of the law y^(nu-1) kappa_exp(-y)/M_k(nu).
+
+    s decreases in y, so by _gamma_share's upper share s is a draw of the
+    Beta mixture w1 Beta(a, nu) + w2 Beta(a+1, nu) (composition, Devroye
+    1986): s = G_b/(G_b + G_nu) with b = a at probability w1, else a + 1.
+    Then L = -log s = log1p(G_nu/G_b) and y = sinh(L/2)/k, so
+    log y = L/2 + log(-expm1(-L)) - log 2k, all from d = log G_nu - log G_b:
+    no G that underflows and no y that overflows is ever formed.  At k = 0,
+    and below the smallest normal k, where 1/2k may overflow and the
+    deformation is far below rounding, y is the Gamma(nu) draw.
+    """
+    if k < np.finfo(float).tiny:
+        return _log_gamma_draw(gen, nu, size)
+    a = 0.5 / k - 0.5 * nu
+    w1 = (a + nu) / (2.0 * a + nu)
+    b = np.where(gen.random(size) < w1, a, a + 1.0)
+    log_gb = _log_gamma_draw(gen, b, size)
+    d = _log_gamma_draw(gen, nu, size) - log_gb
+    with np.errstate(divide="ignore", over="ignore"):
+        # log1p(e^d) is d, and 2 sinh(L/2) is L = e^d, to every digit past |d| = 36
+        big_l = np.where(d > 36.0, d, np.log1p(np.exp(d)))
+        log_2sinh = np.where(d < -36.0, d, 0.5 * big_l + np.log(-np.expm1(-big_l)))
+    return log_2sinh - math.log(2.0 * k)
 
 
 def kappa_exp(x, kappa):

@@ -7,11 +7,12 @@ family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
 a 0-d result comes back as a Python float.  Families override what they
 have in closed form; the base class supplies the missing one of each
 pair, quadrature moments, log-space Newton quantiles, inverse-transform
-sampling and the half-line -> real-line symmetrizer.  On a half line
-x < 0 gives pdf 0, cdf 0 and survival 1 before any family code runs.
-PowerTransformed carries the change of variables Y = beta X^alpha, with
-its quantiles and moments, for the families that write only the law of
-Y (Type1, Type3, Type4).
+draws where a family has no exact sampler of its own (_draw; the Type I
+law's is a Beta mixture) and the half-line -> real-line symmetrizer.
+On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
+family code runs.  PowerTransformed carries the change of variables
+Y = beta X^alpha, with its quantiles, draws and moments, for the
+families that write only the law of Y (Type1, Type3, Type4).
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -204,8 +205,12 @@ class Distribution:
         leaves the bracket or exceeds the growth cap becomes a bisection
         step (or a growth step while the bracket is open).  An element is
         done when its step is a few ulp of t, or its bracket is that narrow.
+        A root past the largest float converges onto it, so a result within
+        a factor 2 of it is inf where the share there falls short of the
+        target.
         """
         tail_fn = self.survival if upper else self.cdf
+        goal = target
         out = np.empty(target.shape)
         idx = np.arange(target.size)
         log_s = target if upper else np.log1p(-np.exp(target))
@@ -239,19 +244,30 @@ class Distribution:
                 out[idx[done]] = np.exp(tn[done])
                 keep = ~done
                 if not np.count_nonzero(keep):
-                    return out
+                    break
                 idx, tn, lo, hi, target = (a[keep] for a in (idx, tn, lo, hi, target))
             t = tn
-        raise NoConvergenceError(
-            f"quantile solver did not converge in {_QUANTILE_MAX_ITER} iterations"
-        )
+        else:
+            raise NoConvergenceError(
+                f"quantile solver did not converge in {_QUANTILE_MAX_ITER} iterations"
+            )
+        big = out >= 0.5 * _FLOAT_MAX
+        if np.count_nonzero(big):
+            log_end = np.log(tail_fn(_FLOAT_MAX))
+            beyond = log_end > goal[big] if upper else log_end < goal[big]
+            out[big] = np.where(beyond, math.inf, np.minimum(out[big], _FLOAT_MAX))
+        return out
 
     def sample(self, size, rng):
-        """Inverse-transform i.i.d. draws; rng is caller supplied."""
+        """size exact i.i.d. draws; rng is caller supplied."""
         gen = as_generator(rng)
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
             raise DomainError("size must be an integer >= 1")
-        u = gen.random(int(size))
+        return self._draw(gen, int(size))
+
+    def _draw(self, gen, size):
+        """Inverse transform: the quantiles of size uniforms from gen."""
+        u = gen.random(size)
         u[u == 0.0] = 2.0**-64  # a real-line quantile excludes p = 0
         return self.quantile(u)
 
@@ -387,10 +403,13 @@ class PowerTransformed(Distribution):
     give the density's limit at the origin and its powers at both ends.
     _y_invert(share, upper), the y with that share above it (upper) or
     below it, and _y_log_moment(r) = log <Y^r> (None: quadrature) give the
-    quantile and <X^m> = beta^(-r) <Y^r>, r = m/alpha.
+    quantile and <X^m> = beta^(-r) <Y^r>, r = m/alpha; _y_log_draw(gen,
+    size), log y for size draws of Y, gives the draws
+    x = exp((log y - log beta)/alpha).
     """
 
     _y_invert = None  # the law of Y has no closed inverse: the solver runs on X
+    _y_log_draw = None  # nor a direct sampler: draws invert uniforms
 
     def __init__(self, alpha, beta, kappa):
         self.kappa = check_kappa(kappa)
@@ -419,6 +438,13 @@ class PowerTransformed(Distribution):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = self._y_invert(p, upper != (self.alpha < 0.0))
             return np.power(y / self.beta, 1.0 / self.alpha)
+
+    def _draw(self, gen, size):
+        if self._y_log_draw is None:
+            return super()._draw(gen, size)
+        # from log y, so no y past the largest float is formed on the way
+        with np.errstate(over="ignore"):
+            return np.exp((self._y_log_draw(gen, size) - math.log(self.beta)) / self.alpha)
 
     def _logpdf(self, x):
         w = self._y_power
@@ -515,6 +541,11 @@ class SymmetrizedDistribution(Distribution):
         if np.count_nonzero(low):
             out[low] = -self.half._quantile(2.0 * flat[low], upper=True)
         return (-out if upper else out).reshape(p.shape)
+
+    def _draw(self, gen, size):
+        """The half's draws, each with a fair random sign."""
+        x = self.half._draw(gen, size)
+        return np.where(gen.random(size) < 0.5, -x, x)
 
     def _pdf_tail_power(self):
         return self.half._pdf_tail_power()

@@ -12,17 +12,18 @@ regularized incomplete Beta functions
     1 - G(y) = w1 I_s(a, nu) + w2 I_s(a+1, nu),
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
-(core._gamma_share), so no quadrature is needed at evaluation time.
-Type1 writes only this law of y; framework.PowerTransformed maps it to
-x, for either sign of alpha (alpha < 0 is the inverse-variable
-construction).
+(core._gamma_share), so no quadrature is needed at evaluation time,
+and s is drawn exactly from the matching Beta mixture
+(core._gamma_share_log_draw), so sampling needs no quantile.  Type1
+writes only this law of y; framework.PowerTransformed maps it to x, for
+either sign of alpha (alpha < 0 is the inverse-variable construction).
 """
 
 import math
 
 import numpy as np
 
-from .core import _gamma_share, _log_kexp_neg, check_kappa, log_mellin_kappa
+from .core import _gamma_share, _gamma_share_log_draw, _log_kexp_neg, check_kappa, log_mellin_kappa
 from .errors import DomainError, MomentDivergesError
 from .framework import PowerTransformed, SymmetrizedDistribution, check_param
 
@@ -73,6 +74,9 @@ class Type1(PowerTransformed):
 
     def _y_share(self, y, upper):
         return _gamma_share(y, self.nu, self.kappa, upper)
+
+    def _y_log_draw(self, gen, size):
+        return _gamma_share_log_draw(gen, size, self.nu, self.kappa)
 
     # -- moments --------------------------------------------------------------
 

@@ -76,13 +76,17 @@ class Type3(PowerTransformed):
     def _hazard_rate(self, x):
         a, k = self.alpha, self.kappa
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h = a * self.beta * np.power(x, a - 1.0)
+            y = self._y(x)
+            # hypot: sqrt(1 + u^2) without overflowing u^2
+            root = np.hypot(1.0, k * y) if k > 0.0 else 1.0
+            if a > 0.0:
+                h = a * self.beta * np.power(x, a - 1.0) / root
+            else:  # x^(alpha-1) overflows before y does
+                h = (a / x) * (y / root)
             if k == 0.0:
                 return h
-            # hypot: sqrt(1 + u^2) without overflowing u^2; past the largest
-            # float y, h is alpha/(k x) to every digit
-            y = self._y(x)
-            return np.where(np.isinf(y), a / (k * x), h / np.hypot(1.0, k * y))
+            # past the largest float y, h is alpha/(k x) to every digit
+            return np.where(np.isinf(y), a / (k * x), h)
 
     def cum_hazard(self, x):
         """H(x) = arcsinh(kappa beta x^alpha)/kappa, Type II's; classical

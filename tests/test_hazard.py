@@ -5,6 +5,7 @@ where the survival underflows too."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,3 +73,29 @@ class TestHazardRateEnds:
         assert d.hazard_rate(1e300) == pytest.approx(2.0 / (0.3 * 1e300), rel=1e-15)
         x = np.array([1.0, 1e100, 1e200, 1e300])
         assert np.array_equal(d.hazard_rate(x), [d.hazard_rate(float(v)) for v in x])
+
+
+class TestHazardRateBelowZeroAlpha:
+    @pytest.mark.parametrize("x", [1e-130, 1e-200])
+    @pytest.mark.parametrize("alpha, kappa", [(-1.5, 0.3), (-2.5, 0.9)])
+    def test_where_x_to_alpha_minus_one_overflows(self, alpha, kappa, x):
+        # y = beta x^alpha is finite, x^(alpha-1) is not
+        beta = 1.3
+        with mpmath.workdps(40):
+            a, b, k, xm = (mpmath.mpf(v) for v in (alpha, beta, kappa, x))
+            y = b * xm**a
+            expect = float(a * b * xm ** (a - 1) / mpmath.sqrt(1 + (k * y) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = Type2(alpha, beta, kappa).hazard_rate(x)
+        assert h == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.9])
+    def test_positive_alpha_keeps_its_bits(self, kappa):
+        # alpha beta x^(alpha-1)/sqrt(1 + (kappa y)^2), in that order
+        d = Type2(1.5, 1.3, kappa)
+        x = np.geomspace(1e-100, 1e100, 401)
+        h = 1.5 * 1.3 * np.power(x, 0.5)
+        if kappa > 0.0:
+            h = h / np.hypot(1.0, kappa * (1.3 * np.power(x, 1.5)))
+        assert np.array_equal(d.hazard_rate(x), h)

@@ -58,6 +58,8 @@ def test_only_fit_and_quadrature_load_the_heavy_submodules(tmp_path):
          "--kappa", "0.3", "--grid", "log:0.001:1000:50", "--what", "pdf,cdf"],
         ["sample", "--family", "type4", "--alpha", "1.5", "--beta", "1", "--kappa", "0.3",
          "--count", "100", "--seed", "3"],
+        ["sample", "--family", "type1", "--alpha", "1.5", "--beta", "1", "--nu", "1",
+         "--kappa", "0.9", "--count", "100", "--seed", "3"],
         ["tail", "--input", str(data), "--fraction", "0.05"],
         ["moments", "--family", "type3", "--alpha", "2.5", "--beta", "1", "--lam", "2",
          "--kappa", "0.3", "--orders", "1,2,3"],
