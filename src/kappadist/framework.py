@@ -9,6 +9,8 @@ have in closed form; the base class supplies the missing one of each
 pair, quadrature moments, log-space Newton quantiles, inverse-transform
 draws where a family has no exact sampler of its own (_draw; the Type I
 law's is a Beta mixture) and the half-line -> real-line symmetrizer.
+The density's powers at its two ends decide the mode's kind, the
+far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
 family code runs.  PowerTransformed carries the change of variables
 Y = beta X^alpha, with its quantiles, draws and moments, for the
@@ -18,6 +20,7 @@ Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +43,7 @@ _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_EDGE = 8.0 * float(np.finfo(float).eps)  # rounding of a moment bound from the end powers
 
 
 def check_param(name, value, positive=True):
@@ -273,10 +277,24 @@ class Distribution:
 
     # -- moments -------------------------------------------------------------
 
+    @functools.cached_property
+    def _moment_window(self):
+        """(lo, hi): x^m pdf is integrable for -1 - e < m < a - 1, pdf ~ x^e at
+        the origin and ~ x^-a in the tail, an end beyond every power setting no
+        bound; each bound is pulled in by its rounding, so an m on it fails."""
+        e, a = self._pdf_singular_power(), self._pdf_tail_power()
+        lo = -math.inf if e is None else -1.0 - e + _EDGE * (2.0 + abs(e))
+        hi = math.inf if a is None else a - 1.0 - _EDGE * a
+        return lo, hi
+
     def check_moment_order(self, m):
-        """Raise MomentDivergesError outside the existence window."""
-        if m < 0:
-            raise MomentDivergesError("m >= 0", f"got m = {m}")
+        """MomentDivergesError outside the window, naming the paper's condition
+        at the end that m crosses (the family's moment_constraint)."""
+        lo, hi = self._moment_window
+        if not m > lo:
+            raise MomentDivergesError(self.moment_constraint(True), f"m = {m:g} <= {lo:g}")
+        if not m < hi:
+            raise MomentDivergesError(self.moment_constraint(False), f"m = {m:g} >= {hi:g}")
 
     def raw_moment(self, m):
         self.check_moment_order(m)
@@ -306,11 +324,11 @@ class Distribution:
         return res.value
 
     def _pdf_tail_power(self):
-        """Known exponent a of pdf ~ x**-a, or None."""
+        """Exponent a of pdf ~ x**-a as x -> inf, or None: faster than every power."""
         return None
 
     def _pdf_singular_power(self):
-        """Known exponent s of pdf ~ x**s as x -> 0, or None."""
+        """Exponent s of pdf ~ x**s as x -> 0, or None: faster than every power."""
         return None
 
     def descriptive_stats(self):

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import _gamma_share, _gamma_share_log_draw, _log_kexp_neg, check_kappa, log_mellin_kappa
-from .errors import DomainError, MomentDivergesError
+from .errors import DomainError
 from .framework import PowerTransformed, SymmetrizedDistribution, check_param
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
@@ -80,17 +80,8 @@ class Type1(PowerTransformed):
 
     # -- moments --------------------------------------------------------------
 
-    def moment_constraint(self):
+    def moment_constraint(self, at_origin):
         return "0 < nu + m/alpha < 1/kappa"
-
-    def check_moment_order(self, m):
-        r = self.nu + m / self.alpha
-        if not r > 0.0 or (self.kappa > 0.0 and not r < 1.0 / self.kappa):
-            bound = f"1/kappa = {1.0 / self.kappa:g}" if self.kappa > 0 else "inf"
-            raise MomentDivergesError(
-                self.moment_constraint(),
-                f"nu + m/alpha = {r:g}, upper bound {bound}",
-            )
 
     def _y_log_moment(self, r):
         return log_mellin_kappa(self.nu + r, self.kappa) - self._log_mellin_nu

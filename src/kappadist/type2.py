@@ -5,7 +5,7 @@ density, hazard rate, cumulative hazard (arcsinh form), closed-form
 quantile and moments, whose series has the single Mellin term
 Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha, here (either sign of
 alpha).  What needs lambda = 1 lives here: the closed hazard, Gini,
-Lorenz (alpha = 1) and the closed argmax.
+Lorenz (alpha = 1) and the closed argmax, for either sign of alpha.
 alpha < 0 turns the cdf expression into the survival function.
 """
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import _log_mellin_ratio, _maybe_item
-from .errors import DomainError, MomentDivergesError
+from .errors import DomainError
 from .type3 import Type3
 
 __all__ = ["Type2"]
@@ -44,8 +44,7 @@ class Type2(Type3):
         a, k = self.alpha, self.kappa
         if a < 0.0:
             raise DomainError("Gini closed form requires alpha > 0")
-        if k > 0.0 and not a > k:
-            raise MomentDivergesError("m < alpha/kappa", "Gini needs the mean: alpha > kappa")
+        self.check_moment_order(1)  # the mean: alpha > kappa
         r = 1.0 / a
         return -math.expm1(
             _log_mellin_ratio(r, 0.5 * k) - _log_mellin_ratio(r, k) - r * math.log(2.0)
@@ -77,15 +76,14 @@ class Type2(Type3):
     # -- shape ------------------------------------------------------------------------
 
     def _argmax(self):
-        a, b, k = self.alpha, self.beta, self.kappa
-        if not a > 1.0:  # 0 < alpha < 1 is a pole, alpha < 0 is searched for
-            return 0.0 if a == 1.0 else None
-        if k == 0.0:
-            return b ** (-1.0 / a) * ((a - 1.0) / a) ** (1.0 / a)
-        big = (a * a + 2.0 * k * k * (a - 1.0)) / (2.0 * k * k * (a * a - k * k))
-        r = 4.0 * k * k * (a * a - k * k) * (a - 1.0) ** 2 / (
-            a * a + 2.0 * k * k * (a - 1.0)
-        ) ** 2
-        # sqrt(1+r) - 1 without cancellation
-        inner = r / (math.sqrt(1.0 + r) + 1.0)
-        return b ** (-1.0 / a) * (big * inner) ** (0.5 / a)
+        # poles never get here, and a finite pdf(0) (alpha = 1 or -kappa) is
+        # the peak; else d log pdf/d log x = alpha - 1 - alpha (k^2 v^2 + v),
+        # v = y/sqrt(1 + k^2 y^2), vanishes at a root of k^2 v^2 + v + c
+        if self._pdf_singular_power() == 0.0:
+            return 0.0
+        k, c = self.kappa, 1.0 / self.alpha - 1.0
+        v = -2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * k * k * c))
+        if not k * v < 1.0:
+            return 0.0
+        y = v / math.sqrt((1.0 - k * v) * (1.0 + k * v))
+        return math.exp((math.log(y) - math.log(self.beta)) / self.alpha)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle
 from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa, kappa_log
-from .errors import DomainError, MomentDivergesError
+from .errors import DomainError
 from .framework import Distribution, ModeResult, PowerTransformed, check_param
 
 __all__ = ["Type3", "KappaLogistic"]
@@ -194,20 +194,11 @@ class Type3(PowerTransformed):
             total = lam * (weights[0] + rel.sum())
         return math.lgamma(1.0 + r) + log_head + math.log(total)
 
-    def moment_constraint(self):
-        return "m < alpha/kappa"
-
-    def check_moment_order(self, m):
-        r = m / self.alpha
-        # r is the Mellin order of the survival integrand, whose window is
-        # -1 < r < 1/kappa at either sign of m and alpha
-        if not r > -1.0:
-            raise MomentDivergesError("m < |alpha|", f"m/alpha = {r:g} <= -1")
-        if self.kappa > 0.0 and not r < 1.0 / self.kappa:
-            raise MomentDivergesError(
-                self.moment_constraint() if m > 0 else "m > alpha/kappa",
-                f"alpha/kappa = {self.alpha / self.kappa:g}, got m = {m:g}",
-            )
+    def moment_constraint(self, at_origin):
+        # pdf ~ x^(alpha - 1) where y -> 0 and x^(-1 - alpha/kappa) where y -> inf
+        if (self.alpha > 0.0) == at_origin:
+            return "m > -alpha" if at_origin else "m < |alpha|"
+        return "m > alpha/kappa" if at_origin else "m < alpha/kappa"
 
 
 class KappaLogistic(Distribution):
@@ -236,21 +227,27 @@ class KappaLogistic(Distribution):
         # E(z) E(-z) = 1: the cdf mirrored about loc, not 1 - cdf
         return self._cdf(2.0 * self.loc - x)
 
-    def _pdf(self, x):
-        # E(z) E(-z) = 1 makes the density even in z; at |z| it is 0, not
-        # inf/inf, at x = -inf
+    def _logpdf(self, x):
+        # E(z) E(-z) = 1 makes the density even in z: beta E/(sqrt(1 + u^2) (1 + E)^2)
+        # at |z|, u = k |z|, where log sqrt(1 + u^2) = a - log1p(tanh a),
+        # a = arcsinh(u) = -k log E, stays finite where u*u overflows
         k = self.kappa
-        z = np.abs(self.beta * (x - self.loc))
-        e = np.exp(_log_kexp_neg(z, k))
-        root = np.hypot(1.0, k * z) if k > 0.0 else 1.0  # sqrt(1 + (k z)^2)
-        return self.beta * e / (root * np.square(1.0 + e))
+        log_e = _log_kexp_neg(np.abs(self.beta * (x - self.loc)), k)
+        out = math.log(self.beta) + log_e - 2.0 * np.log1p(np.exp(log_e))
+        if k > 0.0:
+            a = -k * log_e
+            out -= a - np.log1p(np.tanh(a))
+        return out
+
+    def _pdf_tail_power(self):
+        return None if self.kappa == 0.0 else 1.0 + 1.0 / self.kappa
 
     def _quantile(self, p, upper=False):
         # survival(x) = p is cdf(x) = 1 - p
         odds = (1.0 - p) / p if upper else p / (1.0 - p)
         return self.loc + kappa_log(odds, self.kappa) / self.beta
 
-    def raw_moment(self, m):
+    def check_moment_order(self, m):
         raise DomainError("moments of the full-line logistic are not provided")
 
     def mode(self):

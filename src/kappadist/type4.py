@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import check_kappa
-from .errors import DegenerateFamilyError, DomainError, MomentDivergesError
+from .errors import DegenerateFamilyError, DomainError
 from .framework import PowerTransformed
 
 __all__ = ["Type4"]
@@ -68,15 +68,8 @@ class Type4(PowerTransformed):
         k = self.kappa
         return (1.0 / k, math.log(2.0 * k) / k - math.log(k)), (-2.0, -math.log(2.0 * k**3))
 
-    def moment_constraint(self):
-        return "m < 2*alpha"
-
-    def check_moment_order(self, m):
-        super().check_moment_order(m)  # m >= 0
-        if m > 0 and not m < 2.0 * self.alpha:
-            raise MomentDivergesError(
-                self.moment_constraint(), f"2*alpha = {2.0 * self.alpha:g}, got m = {m:g}"
-            )
+    def moment_constraint(self, at_origin):
+        return "m > -alpha/kappa" if at_origin else "m < 2*alpha"
 
     def _y_log_moment(self, r):
         # <Y^r> = (2k)^-r Gamma(1/k + r) Gamma(1 - r/2) / ((1 + k r/2) Gamma(1/k + r/2))

@@ -12,7 +12,8 @@ density of order n is beta times the survival of order n + 1, so one
 log-survival routine for orders 1-4 gives the cdf, the survival and the
 density.  The moments come from the Mellin transform of g^(n):
 <x^m> = Gamma(1+m) beta^(-m) M_k(m+1-n)/Gamma(m+1-n) on the whole
-window m < n - 1 + 1/kappa, which is m!/beta^m for integer m <= n - 1.
+window -1 < m < n - 1 + 1/kappa, which is m!/beta^m for integer
+m <= n - 1.
 """
 
 import math
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa
-from .errors import DomainError, MomentDivergesError, UnsupportedOrderError
+from .errors import DomainError, UnsupportedOrderError
 from .framework import Distribution, check_param
 
 __all__ = ["Type5"]
@@ -80,25 +81,17 @@ class Type5(Distribution):
         """pdf ~ x^(-n - 1/kappa) for x -> inf."""
         if self.kappa == 0.0:
             raise DomainError("no power-law tail in classical limit (kappa = 0)")
-        return -self.n - 1.0 / self.kappa
+        return -self._pdf_tail_power()
 
-    def moment_constraint(self):
-        return "m < n - 1 + 1/kappa"
-
-    def check_moment_order(self, m):
-        super().check_moment_order(m)  # m >= 0
-        if self.kappa > 0.0 and not m < self.n - 1.0 + 1.0 / self.kappa:
-            raise MomentDivergesError(
-                self.moment_constraint(),
-                f"n - 1 + 1/kappa = {self.n - 1.0 + 1.0 / self.kappa:g}, got m = {m:g}",
-            )
+    def moment_constraint(self, at_origin):
+        return "m > -1" if at_origin else "m < n - 1 + 1/kappa"
 
     def raw_moment(self, m):
         """<x^m> = Gamma(1+m) beta^(-m) M_k(m+1-n)/Gamma(m+1-n).
 
         The Mellin transform of g^(n) is (-1)^n Gamma(s)/Gamma(s-n) times
         that of g at s - n; at s = m + 1 it gives this closed form over the
-        whole window m < n - 1 + 1/kappa.  For integer m <= n - 1 the
+        whole window -1 < m < n - 1 + 1/kappa.  For integer m <= n - 1 the
         ratio is 1 and <x^m> = m!/beta^m.
         """
         self.check_moment_order(m)
@@ -110,6 +103,9 @@ class Type5(Distribution):
 
     def _quantile_scale(self):
         return 1.0 / self.beta
+
+    def _pdf_singular_power(self):
+        return 0.0  # pdf(0) = beta S_(n+1)(0) = beta
 
     def _pdf_tail_power(self):
         return None if self.kappa == 0.0 else self.n + 1.0 / self.kappa

@@ -114,7 +114,7 @@ class TestFitMle:
         true_params = (1.0, 1.0, 2.0, 0.2)
         from kappadist import Type1
 
-        data = Sample(Type1(*true_params).sample(4000, 21))
+        data = Sample(Type1(*true_params).sample(40000, 21))
         res = fit_mle("type1", data)
         assert abs(res.params["nu"] - 2.0) < 0.5
         assert res.log_likelihood > float(

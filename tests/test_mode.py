@@ -168,6 +168,34 @@ class TestKnownShapes:
         assert d.mode().kind == "monotone"
 
 
+def _mp_type2_mode(a, b, k, x0):
+    """40-digit root in log x of the Type2 log-density slope
+    alpha - 1 - alpha (k^2 v^2 + v), v = y/sqrt(1 + (k y)^2), y = b x^alpha."""
+    with mpmath.workdps(40):
+        a, b, k = (mpmath.mpf(v) for v in (a, b, k))
+
+        def slope(t):
+            y = b * mpmath.exp(a * t)
+            v = y / mpmath.sqrt(1 + (k * y) ** 2)
+            return a - 1 - a * (k * k * v * v + v)
+
+        return float(mpmath.exp(mpmath.findroot(slope, math.log(x0))))
+
+
+@pytest.mark.parametrize("k", KAPPAS)
+@pytest.mark.parametrize("a", [1.2, 2.5, 7.0, -0.02, -0.5, -1.0, -2.5])
+def test_type2_closed_mode_against_mpmath(a, k):
+    # one quadratic in v for both signs of alpha; |alpha| <= kappa is a
+    # pole or, at |alpha| = kappa, monotone
+    d = Type2(a, 1.3, k)
+    res = d.mode()
+    if a < 0.0 and not -a > k:
+        assert res.kind == ("monotone" if -a == k else "pole")
+        return
+    assert res.kind == "interior"
+    assert res.x == pytest.approx(_mp_type2_mode(a, 1.3, k, res.x), rel=1e-13)
+
+
 def test_one_mode_rule():
     classes = [c for _, c in inspect.getmembers(kappadist, inspect.isclass) if issubclass(c, Distribution)]
     with_mode = {c.__name__ for c in classes if "mode" in vars(c)}

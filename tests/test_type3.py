@@ -377,3 +377,41 @@ class TestKappaLogisticUpperTail:
             warnings.simplefilter("error")
             assert 0.0 <= d.survival(1e100) < 1e-300
             assert 0.0 <= d.cdf(-1e100) < 1e-300
+
+
+def _mp_logistic(x, k):
+    """50-digit log pdf and hazard of KappaLogistic(1, k) at x."""
+    with mpmath.workdps(50):
+        k, z = mpmath.mpf(k), mpmath.mpf(x)
+
+        def e(t):
+            return mpmath.exp(-mpmath.asinh(k * t) / k)
+
+        pdf = e(z) / (mpmath.sqrt(1 + (k * z) ** 2) * (1 + e(z)) ** 2)
+        return float(mpmath.log(pdf)), float(pdf * (1 + e(-z)))
+
+
+class TestKappaLogisticLogDensity:
+    """The density in log form holds far out on both sides, and the hazard
+    follows the declared tail power pdf ~ x^-(1 + 1/kappa)."""
+
+    @pytest.mark.parametrize("x", [1e3, 1e30, 1e90, 1e200, 1e300, -1e3, -1e30, -1e90, -1e200, -1e300])
+    def test_logpdf_and_hazard_against_mpmath(self, x):
+        d = KappaLogistic(1.0, 0.3)
+        log_pdf, hazard = _mp_logistic(x, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.logpdf(x) == pytest.approx(log_pdf, rel=1e-14)
+            assert d.hazard(x) == pytest.approx(hazard, rel=1e-12, abs=0.0)
+            assert np.array_equal(d.logpdf(np.array([x])), [d.logpdf(x)])
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 0.5, 0.9])
+    def test_moments_stay_not_provided(self, k):
+        d = KappaLogistic(1.0, k)
+        for call in (lambda: d.raw_moment(2), d.variance, d.descriptive_stats, d.mean):
+            with pytest.raises(DomainError, match="not provided"):
+                call()
+
+    def test_tail_power(self):
+        assert KappaLogistic(2.0, 0.25)._pdf_tail_power() == 5.0
+        assert KappaLogistic(2.0, 0.0)._pdf_tail_power() is None

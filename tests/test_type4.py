@@ -87,8 +87,11 @@ class TestMoments:
         with pytest.raises(MomentDivergesError) as exc:
             d.raw_moment(2)
         assert "2*alpha" in str(exc.value)
-        with pytest.raises(MomentDivergesError):
-            d.raw_moment(-1)
+        # pdf ~ x^(alpha/kappa - 1) = x at the origin: <x^-1> exists, <x^-2.5> does not
+        assert d.raw_moment(-1) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert d.raw_moment(-1) == pytest.approx(d._moment_by_quadrature(-1), rel=1e-12)
+        with pytest.raises(MomentDivergesError, match="m > -alpha/kappa"):
+            d.raw_moment(-2.5)
 
 
 class TestQuantileAndSampling:
