@@ -111,8 +111,13 @@ def _gamma_share(y, nu, k, upper):
 
 
 def _log_gamma_draw(gen, shape, size):
-    """log of size standard Gamma(shape) draws, as log G_(shape+1) + log(U)/shape:
-    exact also where G itself underflows, at a tiny shape."""
+    """log of size standard Gamma(shape) draws for a scalar shape: log G from
+    shape 1 up, and log G_(shape+1) + log(U)/shape below it (Devroye 1986,
+    IX.3), exact also where G itself underflows, at a tiny shape.  A zero G
+    gives -inf."""
+    if shape >= 1.0:
+        with np.errstate(divide="ignore"):
+            return np.log(gen.standard_gamma(shape, size))
     return np.log(gen.standard_gamma(shape + 1.0, size)) + np.log1p(-gen.random(size)) / shape
 
 
@@ -121,19 +126,24 @@ def _gamma_share_log_draw(gen, size, nu, k):
 
     s decreases in y, so by _gamma_share's upper share s is a draw of the
     Beta mixture w1 Beta(a, nu) + w2 Beta(a+1, nu) (composition, Devroye
-    1986): s = G_b/(G_b + G_nu) with b = a at probability w1, else a + 1.
+    1986): s = G_b/(G_b + G_nu) with b = a at probability w1, else a + 1,
+    each component's G_b drawn at its own scalar shape into its mask.
     Then L = -log s = log1p(G_nu/G_b) and y = sinh(L/2)/k, so
     log y = L/2 + log(-expm1(-L)) - log 2k, all from d = log G_nu - log G_b:
-    no G that underflows and no y that overflows is ever formed.  At k = 0,
-    and below the smallest normal k, where 1/2k may overflow and the
-    deformation is far below rounding, y is the Gamma(nu) draw.
+    no G that underflows and no y that overflows is ever formed, and a zero
+    G gives d = -inf or inf, an end of the support.  At k = 0, and below
+    the smallest normal k, where 1/2k may overflow and the deformation is
+    far below rounding, y is the Gamma(nu) draw.
     """
     if k < np.finfo(float).tiny:
         return _log_gamma_draw(gen, nu, size)
     a = 0.5 / k - 0.5 * nu
     w1 = (a + nu) / (2.0 * a + nu)
-    b = np.where(gen.random(size) < w1, a, a + 1.0)
-    log_gb = _log_gamma_draw(gen, b, size)
+    first = gen.random(size) < w1
+    n_first = np.count_nonzero(first)
+    log_gb = np.empty(size)
+    log_gb[first] = _log_gamma_draw(gen, a, n_first)
+    log_gb[~first] = _log_gamma_draw(gen, a + 1.0, size - n_first)
     d = _log_gamma_draw(gen, nu, size) - log_gb
     with np.errstate(divide="ignore", over="ignore"):
         # log1p(e^d) is d, and 2 sinh(L/2) is L = e^d, to every digit past |d| = 36

@@ -7,8 +7,10 @@ family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
 a 0-d result comes back as a Python float.  Families override what they
 have in closed form; the base class supplies the missing one of each
 pair, quadrature moments, log-space Newton quantiles, inverse-transform
-draws where a family has no exact sampler of its own (_draw; the Type I
-law's is a Beta mixture) and the half-line -> real-line symmetrizer.
+draws (_draw) and the half-line -> real-line symmetrizer.  Only the
+families with a closed quantile draw by inverse transform: the Type I
+law draws from its Beta mixture and Type V by rejection, so no draw runs
+the solver.
 The density's powers at its two ends decide the mode's kind, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
@@ -382,7 +384,8 @@ class Distribution:
             if self.logpdf(x) <= self._logpdf_at_origin() + 1e-12:  # rounding, not a rise
                 x = 0.0
         if x == 0.0:
-            p0 = float(np.exp(self._logpdf_at_origin()))  # the bits of pdf(0.0)
+            with np.errstate(over="ignore"):  # a finite limit past the largest float
+                p0 = float(np.exp(self._logpdf_at_origin()))  # the bits of pdf(0.0)
             return ModeResult(kind="monotone", pdf_at_origin=p0)
         return ModeResult(kind="interior", x=x)
 
@@ -414,11 +417,13 @@ class PowerTransformed(Distribution):
     A family writes the law of Y only: _y_share(y, upper), the share of
     Y above y (upper) or below it; y pdf_Y(y) = y^w g(y) with w =
     _y_power and log g = _y_log_regular(y), which may overwrite y; and
-    _y_ends() = ((w0, log c0), (w1, log c1)) with y pdf_Y(y) ~ c y^w as
-    y -> 0 and as y -> inf, None for an end beyond every power.  This
-    class maps it to X: alpha < 0 swaps the cdf and the survival,
-    pdf_X(x) = |alpha| beta^w x^(alpha w - 1) g(y), and the ends of Y
-    give the density's limit at the origin and its powers at both ends.
+    _y_ends() = ((n0, d0, log c0), (n1, d1, log c1)) with y pdf_Y(y) ~
+    c y^(n/d) as y -> 0 and as y -> inf, None for an end beyond every
+    power.  This class maps it to X: alpha < 0 swaps the cdf and the
+    survival, pdf_X(x) = |alpha| beta^w x^(alpha w - 1) g(y), and the ends
+    of Y give the density's limit at the origin and its powers at both
+    ends, each power (alpha n - d)/d rounded once, so that it is exactly 0
+    where it vanishes with alpha n = d (alpha = -kappa against n/d = -1/kappa).
     _y_invert(share, upper), the y with that share above it (upper) or
     below it, and _y_log_moment(r) = log <Y^r> (None: quadrature) give the
     quantile and <X^m> = beta^(-r) <Y^r>, r = m/alpha; _y_log_draw(gen,
@@ -484,8 +489,9 @@ class PowerTransformed(Distribution):
         end = self._y_ends()[0 if (self.alpha > 0.0) == at_origin else 1]
         if end is None:
             return None
-        w, log_c = end
-        return self.alpha * w - 1.0, math.log(abs(self.alpha)) + log_c + w * math.log(self.beta)
+        num, den, log_c = end
+        log_c += math.log(abs(self.alpha)) + num / den * math.log(self.beta)
+        return (self.alpha * num - den) / den, log_c
 
     def _logpdf_at_origin(self):
         end = self._x_end(at_origin=True)

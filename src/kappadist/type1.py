@@ -69,8 +69,8 @@ class Type1(PowerTransformed):
     def _y_ends(self):
         k, log_c = self.kappa, -self._log_mellin_nu
         # kappa_exp(-y) ~ (2 k y)^(-1/k) as y -> inf
-        far = None if k == 0.0 else (self.nu - 1.0 / k, log_c - math.log(2.0 * k) / k)
-        return (self.nu, log_c), far
+        far = None if k == 0.0 else (self.nu - 1.0 / k, 1.0, log_c - math.log(2.0 * k) / k)
+        return (self.nu, 1.0, log_c), far
 
     def _y_share(self, y, upper):
         return _gamma_share(y, self.nu, self.kappa, upper)

@@ -127,8 +127,8 @@ class Type3(PowerTransformed):
     def _y_ends(self):
         k = self.kappa
         # E ~ (2 k y)^(-1/k) and sqrt(1 + u^2) ~ k y as y -> inf
-        far = None if k == 0.0 else (-1.0 / k, math.log(self.lam / k) - math.log(2.0 * k) / k)
-        return (1.0, -math.log(self.lam)), far
+        far = None if k == 0.0 else (-1.0, k, math.log(self.lam / k) - math.log(2.0 * k) / k)
+        return (1.0, 1.0, -math.log(self.lam)), far
 
     def _y_invert(self, share, upper):
         """The share solved for log E, E = s/(1 + (lambda-1)(1 - s)) above y

@@ -66,7 +66,7 @@ class Type4(PowerTransformed):
     def _y_ends(self):
         # y pdf_Y ~ (2 k y)^(1/k)/k as y -> 0 and 1/(2 k^3 y^2) as y -> inf
         k = self.kappa
-        return (1.0 / k, math.log(2.0 * k) / k - math.log(k)), (-2.0, -math.log(2.0 * k**3))
+        return (1.0, k, math.log(2.0 * k) / k - math.log(k)), (-2.0, 1.0, -math.log(2.0 * k**3))
 
     def moment_constraint(self, at_origin):
         return "m > -alpha/kappa" if at_origin else "m < 2*alpha"

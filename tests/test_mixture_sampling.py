@@ -1,13 +1,19 @@
 """Exact draws: the Beta mixture behind the Type I law (Type1, KappaErlang
-and KappaNormal) against inverse-transform draws and binned counts, the
-share of draws past the largest float, and the other families' draws,
-which stay the inverse transform bit for bit."""
+and KappaNormal) and its Gamma kernel, the Type V rejection in
+a = arcsinh(k beta x), each against inverse-transform draws and binned
+counts; the share of draws past the largest float; no family's draws run
+the quantile solver; and the families with a closed quantile (Type2,
+Type3, Type4, KappaLogistic), whose draws stay the inverse transform bit
+for bit."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc
 
 from kappadist import (
     Distribution,
@@ -21,6 +27,7 @@ from kappadist import (
     Type5,
     as_generator,
 )
+from kappadist.core import _gamma_share_log_draw, _log_gamma_draw
 
 N = 20000
 KS_COEF = 2.694  # Kolmogorov critical value at p ~ 1e-6: sqrt(ln(2/1e-6)/2)
@@ -109,7 +116,6 @@ def test_no_solver_behind_the_draws(d, monkeypatch):
         Type2(-1.5, 1.0, 0.9),
         Type3(1.5, 1.0, 2.0, 0.3),
         Type4(1.5, 1.0, 0.9),
-        Type5(3, 1.0, 0.3),
         KappaLogistic(1.0, 0.3),
     ],
     ids=repr,
@@ -122,10 +128,163 @@ def test_other_families_keep_the_inverse_transform(d, seed):
     assert np.array_equal(d.sample(5000, seed), d.quantile(u))
 
 
-def test_same_seed_same_draws():
-    d = KappaNormal(1.0, 0.3)
+@pytest.mark.parametrize("d", [KappaNormal(1.0, 0.3), Type5(3, 1.0, 0.9)], ids=repr)
+def test_same_seed_same_draws(d):
     assert np.array_equal(d.sample(100, 4), d.sample(100, 4))
     assert not np.array_equal(d.sample(100, 4), d.sample(100, 5))
+
+
+EVERY_FAMILY = [
+    *(Type1(alpha, 1.3, nu, k) for alpha, nu in ((1.5, 1.0), (-2.0, 0.5)) for k in (0.0, 0.3, 0.9)),
+    *(Type2(alpha, 1.3, k) for alpha in (1.5, -1.5, -0.9) for k in (0.0, 0.3, 0.9)),
+    *(Type3(alpha, 1.3, lam, k) for alpha, lam in ((1.5, 2.0), (-1.5, 0.5)) for k in (0.0, 0.3, 0.9)),
+    *(Type4(alpha, 1.3, k) for alpha in (1.5, 0.2) for k in (0.3, 0.9)),
+    *(Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)),
+    *(KappaErlang(n, 1.3, k) for n in (1, 3) for k in (0.0, 0.3)),
+    *(KappaNormal(1.3, k) for k in (0.0, 0.9)),
+    *(KappaLogistic(1.3, k) for k in (0.0, 0.9)),
+]
+
+
+@pytest.mark.parametrize("d", EVERY_FAMILY, ids=repr)
+def test_no_family_samples_through_the_solver(d, monkeypatch):
+    def refuse(self, target, upper):
+        raise AssertionError("sampling ran the quantile solver")
+
+    monkeypatch.setattr(Distribution, "_solve_quantile", refuse)
+    draws = d.sample(2000, 3)
+    assert draws.shape == (2000,) and np.count_nonzero(np.isnan(draws)) == 0
+
+
+# -- Type V: rejection in a = arcsinh(k beta x) --------------------------------------
+
+TYPE5_KAPPAS = (0.0, 1e-3, 0.3, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("k", TYPE5_KAPPAS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type5_two_sample_ks_against_inverse_transform(n, k):
+    d = Type5(n, 1.3, k)
+    draws = d.sample(N, 31)
+    reference = Distribution._draw(d, as_generator(32), N)
+    assert stats.ks_2samp(draws, reference).statistic <= KS_COEF * math.sqrt(2.0 / N)
+    assert np.unique(draws).size == N
+
+
+@pytest.mark.parametrize("k", [0.3, 0.9])
+@pytest.mark.parametrize("n", [2, 3])
+def test_type5_binned_chi_square(n, k):
+    d = Type5(n, 1.0, k)
+    size, bins = 100000, 50
+    edges = d.quantile(np.arange(1, bins) / bins)
+    counts = np.bincount(np.searchsorted(edges, d.sample(size, 5)), minlength=bins)
+    expect = size / bins
+    chi2 = float(np.sum((counts - expect) ** 2) / expect)
+    assert chi2 <= stats.chi2.isf(1e-6, bins - 1)
+
+
+@pytest.mark.parametrize(
+    "d", [Type5(1, 1.0, 0.3), Type5(2, 0.7, 0.3), Type5(3, 2.0, 0.45), Type5(3, 1.0, 0.0)], ids=repr
+)
+def test_type5_mean_within_five_standard_errors(d):
+    draws = d.sample(400000, 8)
+    se = math.sqrt(d.variance() / draws.size)
+    assert abs(draws.mean() - d.mean()) <= 5.0 * se
+
+
+@pytest.mark.parametrize("k", [1e-320, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type5_vanishing_kappa_is_exponential(n, k):
+    # a = k E is subnormal or far below rounding: the draws keep every digit of E
+    assert stats.kstest(Type5(n, 1.0, k).sample(N, 3), "expon").statistic <= KS_COEF / math.sqrt(N)
+
+
+BOUND_KAPPAS = (1e-8, 1e-3, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999)
+
+
+def _mp_rho_max(n, k):
+    """30-digit maximum of rho_n over [0, 1), at the root of rho_n' there."""
+    with mpmath.workdps(30):
+        k = mpmath.mpf(k)
+        if n == 1:
+            return mpmath.mpf(1)
+        if n == 2:
+            t = (mpmath.sqrt(1 + 8 * k * k) - 1) / (4 * k)
+            return (1 + k * t) * mpmath.sqrt(1 - t * t)
+        roots = mpmath.polyroots([12 * k * k, 9 * k, 2 - 8 * k * k, -3 * k], maxsteps=200, extraprec=60)
+        t = max(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-25 and 0 < mpmath.re(r) < 1)
+        return (1 - k * k + 3 * k * t * (1 + k * t)) * (1 - t * t)
+
+
+@pytest.mark.parametrize("k", BOUND_KAPPAS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type5_rejection_bound(n, k):
+    d = Type5(n, 1.0, k)
+    t = np.linspace(0.0, 1.0, 10**6, endpoint=False)
+    assert np.max(d._rho(t)) <= d._rho_bound
+    assert mpmath.mpf(d._rho_bound) >= _mp_rho_max(n, k)
+    assert d._rho_bound <= _mp_rho_max(n, k) * (1.0 + 1e-11)  # the margin only
+
+
+@pytest.mark.parametrize(
+    "d", [Type5(3, 1.0, 0.999), Type5(2, 1e-310, 0.9), Type5(3, 1e300, 1e-320), Type5(1, 1.0, 5e-324)],
+    ids=repr,
+)
+def test_type5_draws_raise_no_warning(d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = d.sample(N, 2)
+    assert np.count_nonzero(np.isnan(draws) | (draws < 0.0)) == 0
+
+
+# -- the Gamma kernel of the Type I mixture -------------------------------------------
+
+
+def _log_gamma_cdf(ell, shape):
+    """P(log G <= ell) for G ~ Gamma(shape); below ell = -50 the leading term
+    x^shape/Gamma(shape + 1) of the regularized share, exact to 1e-21."""
+    ell = np.asarray(ell)
+    with np.errstate(over="ignore", under="ignore"):
+        lead = np.exp(shape * ell - math.lgamma(shape + 1.0))
+        return np.where(ell < -50.0, lead, gammainc(shape, np.exp(np.maximum(ell, -50.0))))
+
+
+@pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 1.5, 40.0])
+def test_gamma_kernel_against_scipy(shape):
+    log_g = _log_gamma_draw(as_generator(11), shape, N)
+    crit = KS_COEF / math.sqrt(N)
+    assert stats.kstest(log_g, lambda ell: _log_gamma_cdf(ell, shape)).statistic <= crit
+    if shape >= 0.5:  # no draw underflows: the Gamma law itself
+        assert stats.kstest(np.exp(log_g), stats.gamma(shape).cdf).statistic <= crit
+
+
+class _ZeroGamma:
+    """A generator whose call-th standard_gamma draws start with an exact zero."""
+
+    def __init__(self, call):
+        self.gen, self.call, self.calls = as_generator(5), call, 0
+
+    def random(self, size):
+        return self.gen.random(size)
+
+    def standard_gamma(self, shape, size):
+        g = self.gen.standard_gamma(shape, size)
+        self.calls += 1
+        if self.calls == self.call and g.size:
+            g[0] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("call, end", [(1, math.inf), (3, -math.inf)])
+def test_zero_gamma_draw_lands_on_an_end(call, end):
+    # calls: G_a on the first component's mask, G_(a+1) on the rest, then G_nu;
+    # at nu = 1 and k = 0.3 every shape is at least 1, so G is drawn directly
+    gen = _ZeroGamma(call)
+    log_y = _gamma_share_log_draw(gen, 64, 1.0, 0.3)
+    assert np.count_nonzero(np.isnan(log_y)) == 0
+    assert end in log_y
+    x = Type1(1.5, 1.0, 1.0, 0.3)._draw(_ZeroGamma(call), 64)
+    assert np.count_nonzero(np.isnan(x)) == 0 and (0.0 if end < 0.0 else math.inf) in x
 
 
 class TestQuantilePastTheLargestFloat:

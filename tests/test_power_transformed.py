@@ -85,6 +85,26 @@ def test_zero_exponent_at_origin_is_declared(d):
     assert d._pdf_singular_power() == 0.0
 
 
+@pytest.mark.parametrize(
+    "family", [lambda k: Type2(-k, 1.0, k), lambda k: Type3(-k, 1.0, 2.0, k)], ids=["Type2", "Type3"]
+)
+def test_origin_power_vanishes_exactly_at_alpha_minus_kappa(family):
+    # the origin power (alpha n - d)/d against the far power n/d = -1/kappa of Y
+    for k in np.linspace(0.001, 0.999, 999).tolist():
+        d = family(k)
+        assert d._pdf_singular_power() == 0.0
+        assert d.mode().kind != "pole"
+        # below kappa = 0.03 x = 1e-300 is short of the origin's power law, and
+        # below about 0.007 the limit itself lies past the largest float
+        if k >= 0.03:
+            assert d.pdf(0.0) == pytest.approx(d.pdf(1e-300), rel=1e-12)
+
+
+def test_type4_origin_power_vanishes_exactly_at_alpha_kappa():
+    for k in np.linspace(0.001, 0.999, 999).tolist():
+        assert Type4(k, 1.0, k)._pdf_singular_power() == 0.0
+
+
 class TestType4Origin:
     def test_pole_when_alpha_below_kappa(self):
         d = Type4(0.2, 1.0, 0.5)
