@@ -16,8 +16,6 @@ relative precision for every kappa > 0, however small.
 import math
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln
-from scipy.special import erf as _erf
 
 from .errors import DomainError
 
@@ -30,6 +28,7 @@ KAPPA_SWITCH = 1e-4
 _DEEP_TAIL = 2.0**500
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def check_kappa(kappa):
@@ -49,11 +48,17 @@ def _log_kexp_neg(y, k):
     """log kappa_exp(-y) = -arcsinh(k y)/k for a checked k, and -y at k = 0.
 
     With y = beta x^alpha this is the log of the kappa_exp(-beta x^alpha)
-    every family is built from; it is exact for any magnitude of y.
+    every family is built from; it is exact for any magnitude of y, also
+    below the smallest normal k.
     """
     if k == 0.0:
         return -y
     u = k * y
+    if k < _TINY:
+        # a subnormal u keeps only a few digits; below |u| = 2^-26
+        # arcsinh(u) = u to rounding, and past it u is normal
+        with np.errstate(over="ignore"):
+            return np.where(np.abs(u) < 2.0**-26, -y, -np.arcsinh(u) / k)
     if not isinstance(u, np.ndarray):  # a scalar, also from a 0-d y
         return -np.arcsinh(u) / k
     # in place: on large arrays each further temporary costs about as
@@ -80,6 +85,9 @@ def _gamma_share(y, nu, k, upper):
     log s = -2 arcsinh(u).  Below KAPPA_SWITCH the classical regularized
     Gamma shares are used.
     """
+    # imported here, so only the Type I shares pay for loading scipy.special
+    from scipy.special import betainc, betaln, gammainc, gammaincc
+
     if k < KAPPA_SWITCH:
         return gammaincc(nu, y) if upper else gammainc(nu, y)
     u = np.atleast_1d(k * y)
@@ -135,7 +143,7 @@ def _gamma_share_log_draw(gen, size, nu, k):
     the smallest normal k, where 1/2k may overflow and the deformation is
     far below rounding, y is the Gamma(nu) draw.
     """
-    if k < np.finfo(float).tiny:
+    if k < _TINY:
         return _log_gamma_draw(gen, nu, size)
     a = 0.5 / k - 0.5 * nu
     w1 = (a + nu) / (2.0 * a + nu)
@@ -173,6 +181,22 @@ def log_kappa_exp(x, kappa):
     return _maybe_item(_log_kexp_neg(-np.asarray(x, dtype=float), k))
 
 
+def _sinh_k(v, k):
+    """sinh(k v)/k for a checked k, and v at k = 0.
+
+    y = -_sinh_k(log kappa_exp(-y), k) inverts _log_kexp_neg, and keeps
+    its digits below the smallest normal k as that does.
+    """
+    if k == 0.0:
+        return v
+    a = k * v
+    if k < _TINY:
+        # as in _log_kexp_neg: below |a| = 2^-26 sinh(a) = a to rounding
+        with np.errstate(over="ignore"):
+            return np.where(np.abs(a) < 2.0**-26, v, np.sinh(a) / k)
+    return np.sinh(a) / k
+
+
 def kappa_log(t, kappa):
     """Deformed logarithm (t^k - t^-k)/(2k), the inverse of kappa_exp.
 
@@ -183,9 +207,7 @@ def kappa_log(t, kappa):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
         raise DomainError("kappa_log requires t > 0")
-    if k == 0.0:
-        return _maybe_item(np.log(t))
-    return _maybe_item(np.sinh(k * np.log(t)) / k)
+    return _maybe_item(_sinh_k(np.log(t), k))
 
 
 def kappa_exp_tail_exponent(kappa, sign):
@@ -214,9 +236,9 @@ def _stirling_rest(x):
     """
     if isinstance(x, np.ndarray):
         out = _stirling_series(x)
+        # the few x below 10 take the scalar form, so both paths agree bit for bit
         near = x < 10.0
-        xn = x[near]
-        out[near] = gammaln(xn) - (xn - 0.5) * np.log(xn) + xn - _HALF_LOG_2PI
+        out[near] = [_stirling_rest(v) for v in x[near].tolist()]
         return out
     if x < 10.0:
         return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
@@ -225,7 +247,7 @@ def _stirling_rest(x):
 
 def _stirling_series(x):
     """Eight terms of sum_k B_2k / (2k (2k-1) x^(2k-1)); the next is below 2e-18 at x >= 10."""
-    y = 1.0 / (x * x)
+    y = (1.0 / x) ** 2  # x * x overflows at x past 1e154
     s = 1.0 / 1188 - y * (691.0 / 360360 - y * (1.0 / 156 - y * (3617.0 / 122400)))
     return (1.0 / 12 - y * (1.0 / 360 - y * (1.0 / 1260 - y * (1.0 / 1680 - y * s)))) / x
 
@@ -234,8 +256,9 @@ def _log_mellin_ratio(r, k):
     """log(M_k(r)/Gamma(r)) = -(r+1) log 2k + lnGamma(1/2k - r/2) - lnGamma(1/2k + 1 + r/2).
 
     Analytic in r on -2 - 1/k < r < 1/k (through r = 0, -1, -2, where it
-    is 0), and 0 at k = 0.  With a = 1/2k - r/2 and b = 1/2k + 1 + r/2
-    Stirling's formula turns it into
+    is 0), and 0 at k = 0 and below the smallest normal k, where 1/2k
+    may overflow and the O(k^2) ratio is 0 to rounding.  With
+    a = 1/2k - r/2 and b = 1/2k + 1 + r/2 Stirling's formula turns it into
     (1+r)(1 - log1p(k (2+r))) + (a - 1/2) log1p(-(1+r)/b) + rest(a) - rest(b),
     whose terms are of order r instead of 1/k, so the O(k^2 r^3) result
     keeps its relative precision as k -> 0.  k may also be an array of
@@ -243,8 +266,13 @@ def _log_mellin_ratio(r, k):
     """
     log1p = math.log1p
     if isinstance(k, np.ndarray):
+        small = k < _TINY
+        if np.count_nonzero(small):
+            out = np.zeros(k.shape)
+            out[~small] = _log_mellin_ratio(r, k[~small])
+            return out
         log1p = np.log1p
-    elif k == 0.0:
+    elif k < _TINY:
         return 0.0
     z = 0.5 / k
     a = z - 0.5 * r
@@ -301,7 +329,9 @@ def kappa_erf(x, kappa):
     if np.isnan(x).any():
         raise DomainError("kappa_erf requires a non-NaN argument")
     if k == 0.0:
-        return _maybe_item(_erf(x))
+        from scipy.special import erf
+
+        return _maybe_item(erf(x))
     with np.errstate(over="ignore"):
         share = _gamma_share(x * x, 0.5, k, upper=False)
     # below |x| = 2^-500, x^2 loses digits while the O(x^3) term is < eps

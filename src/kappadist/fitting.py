@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     BoundaryFitError,
@@ -122,13 +121,16 @@ def _kappa_to_t(kappa, floor):
 
 
 def _t_to_kappa(t, floor):
-    return floor + (_KAPPA_CAP - floor) * special.expit(t)
+    from scipy.special import expit
+
+    return floor + (_KAPPA_CAP - floor) * expit(t)
 
 
 def _default_init(family, sample):
     """Moment-matching starting point, anchored on the classical Weibull
     shape equation CV^2 = Gamma(1+2/a)/Gamma(1+1/a)^2 - 1."""
     from scipy import optimize
+    from scipy.special import gammaln
 
     v = sample.values
     mean = float(np.mean(v))
@@ -136,15 +138,15 @@ def _default_init(family, sample):
     cv = sd / mean if mean > 0.0 else 1.0
 
     def cv_gap(a):
-        g1 = special.gammaln(1.0 + 1.0 / a)
-        g2 = special.gammaln(1.0 + 2.0 / a)
+        g1 = gammaln(1.0 + 1.0 / a)
+        g2 = gammaln(1.0 + 2.0 / a)
         return math.exp(g2 - 2.0 * g1) - 1.0 - cv * cv
 
     try:
         alpha0 = optimize.brentq(cv_gap, 0.08, 60.0)
     except ValueError:
         alpha0 = 1.0
-    beta0 = (math.exp(special.gammaln(1.0 + 1.0 / alpha0)) / mean) ** alpha0
+    beta0 = (math.exp(gammaln(1.0 + 1.0 / alpha0)) / mean) ** alpha0
     init = {"alpha": alpha0, "beta": beta0}
     if family == "type1":
         init["nu"] = 1.0

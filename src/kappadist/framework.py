@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .core import _maybe_item, check_kappa
+from .core import _TINY, _maybe_item, check_kappa
 from .errors import DomainError, MomentDivergesError, NoConvergenceError, VarianceDivergesError
 
 __all__ = [
@@ -44,7 +44,6 @@ _QUANTILE_MAX_ITER = 200
 _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
-_TINY = np.finfo(float).tiny  # the smallest normal float
 _EDGE = 8.0 * float(np.finfo(float).eps)  # rounding of a moment bound from the end powers
 
 
@@ -291,7 +290,10 @@ class Distribution:
 
     def check_moment_order(self, m):
         """MomentDivergesError outside the window, naming the paper's condition
-        at the end that m crosses (the family's moment_constraint)."""
+        at the end that m crosses (the family's moment_constraint); a NaN m
+        is a DomainError, for it lies on no side of the window."""
+        if math.isnan(m):
+            raise DomainError("moment order must be a number, got m = nan")
         lo, hi = self._moment_window
         if not m > lo:
             raise MomentDivergesError(self.moment_constraint(True), f"m = {m:g} <= {lo:g}")
@@ -575,7 +577,7 @@ class SymmetrizedDistribution(Distribution):
         return self.half._pdf_tail_power()
 
     def check_moment_order(self, m):
-        if m % 2 == 0:
+        if not m % 2 == 1:  # an odd order vanishes; the half checks the rest, NaN too
             self.half.check_moment_order(m)
 
     def raw_moment(self, m):

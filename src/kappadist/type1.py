@@ -23,7 +23,14 @@ import math
 
 import numpy as np
 
-from .core import _gamma_share, _gamma_share_log_draw, _log_kexp_neg, check_kappa, log_mellin_kappa
+from .core import (
+    _TINY,
+    _gamma_share,
+    _gamma_share_log_draw,
+    _log_kexp_neg,
+    check_kappa,
+    log_mellin_kappa,
+)
 from .errors import DomainError
 from .framework import PowerTransformed, SymmetrizedDistribution, check_param
 
@@ -68,8 +75,9 @@ class Type1(PowerTransformed):
 
     def _y_ends(self):
         k, log_c = self.kappa, -self._log_mellin_nu
-        # kappa_exp(-y) ~ (2 k y)^(-1/k) as y -> inf
-        far = None if k == 0.0 else (self.nu - 1.0 / k, 1.0, log_c - math.log(2.0 * k) / k)
+        # kappa_exp(-y) ~ (2 k y)^(-1/k) as y -> inf, a power past every
+        # float power below the smallest normal k
+        far = None if k < _TINY else (self.nu - 1.0 / k, 1.0, log_c - math.log(2.0 * k) / k)
         return (self.nu, 1.0, log_c), far
 
     def _y_share(self, y, upper):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import _log_mellin_ratio, _maybe_item
+from .core import _log_mellin_ratio, _maybe_item, _sinh_k
 from .errors import DomainError
 from .type3 import Type3
 
@@ -65,10 +65,7 @@ class Type2(Type3):
         k = self.kappa
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.log1p(-parr)
-            if k == 0.0:
-                body = 1.0 - s
-            else:
-                body = np.cosh(k * s) - np.sinh(k * s) / k
+            body = np.cosh(k * s) - _sinh_k(s, k)
             out = 1.0 - (1.0 - parr) * body
         out = np.where(parr == 1.0, 1.0, out)
         return _maybe_item(np.where(parr == 0.0, 0.0, out))

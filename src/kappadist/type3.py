@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa, kappa_log
+from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, _sinh_k, check_kappa, kappa_log
 from .errors import DomainError
 from .framework import Distribution, ModeResult, PowerTransformed, check_param
 
@@ -126,8 +126,9 @@ class Type3(PowerTransformed):
 
     def _y_ends(self):
         k = self.kappa
-        # E ~ (2 k y)^(-1/k) and sqrt(1 + u^2) ~ k y as y -> inf
-        far = None if k == 0.0 else (-1.0, k, math.log(self.lam / k) - math.log(2.0 * k) / k)
+        # E ~ (2 k y)^(-1/k) and sqrt(1 + u^2) ~ k y as y -> inf; below the
+        # smallest normal k that power is past every float power
+        far = None if k < _TINY else (-1.0, k, math.log(self.lam / k) - math.log(2.0 * k) / k)
         return (1.0, 1.0, -math.log(self.lam)), far
 
     def _y_invert(self, share, upper):
@@ -139,7 +140,7 @@ class Type3(PowerTransformed):
             log_e = np.log(share) - np.log1p((lam - 1.0) * (1.0 - share))
         else:
             log_e = np.log1p(-share) - np.log1p((lam - 1.0) * share)
-        return -log_e if k == 0.0 else -np.sinh(k * log_e) / k
+        return -_sinh_k(log_e, k)
 
     def rate_residual(self, x):
         """Residual of dS/dx + h S (1 - (lambda-1)/lambda S) at x.
@@ -240,7 +241,7 @@ class KappaLogistic(Distribution):
         return out
 
     def _pdf_tail_power(self):
-        return None if self.kappa == 0.0 else 1.0 + 1.0 / self.kappa
+        return None if self.kappa < _TINY else 1.0 + 1.0 / self.kappa
 
     def _quantile(self, p, upper=False):
         # survival(x) = p is cdf(x) = 1 - p

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import _log_kexp_neg, _log_mellin_ratio, check_kappa
+from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, check_kappa
 from .errors import DomainError, UnsupportedOrderError
 from .framework import Distribution, check_param
 
@@ -126,7 +126,7 @@ class Type5(Distribution):
         """pdf ~ x^(-n - 1/kappa) for x -> inf."""
         if self.kappa == 0.0:
             raise DomainError("no power-law tail in classical limit (kappa = 0)")
-        return -self._pdf_tail_power()
+        return -self.n - 1.0 / self.kappa
 
     def moment_constraint(self, at_origin):
         return "m > -1" if at_origin else "m < n - 1 + 1/kappa"
@@ -182,7 +182,7 @@ class Type5(Distribution):
         return 0.0  # pdf(0) = beta S_(n+1)(0) = beta
 
     def _pdf_tail_power(self):
-        return None if self.kappa == 0.0 else self.n + 1.0 / self.kappa
+        return None if self.kappa < _TINY else self.n + 1.0 / self.kappa
 
     def _argmax(self):
         # pdf'(0) is -beta^2 (n = 1), beta^2 (k^2 - 1) (n = 2) and

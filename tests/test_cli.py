@@ -153,6 +153,18 @@ class TestMoments:
         rows = [l.split(",") for l in out.strip().split("\n")[1:]]
         assert float(rows[0][1]) == pytest.approx(d.raw_moment(1), rel=1e-15)
 
+    def test_nan_order_is_a_domain_error(self, capsys):
+        # no row flags a NaN order as divergent: it lies on no side of the window
+        code, out, err = invoke(
+            ["moments", "--family", "type2", "--alpha", "1.5", "--beta", "1",
+             "--kappa", "0.3", "--orders", "1,nan"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("kappadist: domain error:") and "nan" in err
+        assert "diverges" not in err
+
 
 class TestSampleCommand:
     def test_byte_identical_reruns(self, capsys):

@@ -1,5 +1,6 @@
-"""Only fitting loads scipy.optimize, and only quadrature loads
-scipy.integrate.
+"""scipy is loaded only where a value needs it: scipy.special by the Type I
+shares, fitting and quadrature, scipy.optimize by fitting and
+scipy.integrate by quadrature.  Importing kappadist loads no scipy module.
 
 The check runs in a fresh interpreter, since this process already holds
 scipy.integrate: pyproject.toml's warning filters name one of its classes.
@@ -13,21 +14,25 @@ from pathlib import Path
 
 import kappadist
 
-HEAVY = ("scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy.special", "scipy.integrate", "scipy.optimize")
 
 # imports the CLI, then runs each argv through kappadist.cli.run; prints
-# the exit codes and which of HEAVY are loaded after the import and after
+# the exit codes, which scipy modules are loaded after `import kappadist`
+# and after `import kappadist.cli`, and which of HEAVY are loaded after
 # each argv
 CHILD = """
 import contextlib, io, json, sys
-import kappadist, kappadist.cli
+import kappadist
+scipy_after = [[m for m in sys.modules if m.split(".")[0] == "scipy"]]
+import kappadist.cli
+scipy_after.append([m for m in sys.modules if m.split(".")[0] == "scipy"])
 heavy = {heavy!r}
-codes, loaded = [], [[m for m in heavy if m in sys.modules]]
+codes, loaded = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(kappadist.cli.run(argv))
     loaded.append([m for m in heavy if m in sys.modules])
-print(json.dumps([codes, loaded]))
+print(json.dumps([scipy_after, codes, loaded]))
 """
 
 
@@ -42,34 +47,42 @@ def _run_child(argvs):
         env=env,
         check=True,
     )
-    codes, loaded = json.loads(proc.stdout)
+    scipy_after, codes, loaded = json.loads(proc.stdout)
     assert codes == [0] * len(argvs), proc.stderr
-    return loaded
+    return scipy_after, loaded
 
 
-def test_only_fit_and_quadrature_load_the_heavy_submodules(tmp_path):
+def test_only_type1_shares_fit_and_quadrature_load_scipy(tmp_path):
     data = tmp_path / "draws.csv"
     draws = kappadist.Type2(1.5, 1.0, 0.3).sample(1000, 7)
     data.write_text("".join(f"{float(v)!r}\n" for v in draws))
+    fam = ["--beta", "1", "--kappa", "0.3"]
+    type1 = ["--family", "type1", "--alpha", "1.5", "--nu", "1", *fam]
+    points = ["--x", "0.5,1,2", "--what", "pdf,cdf,survival,hazard"]
+    moments = ["--orders", "1,2,3"]
     light = [
-        ["eval", "--family", "type2", "--alpha", "1.5", "--beta", "1", "--kappa", "0.3",
-         "--x", "0.5,1,2", "--what", "pdf,cdf,survival,hazard"],
-        ["tabulate", "--family", "type1", "--alpha", "1.5", "--beta", "1", "--nu", "1",
-         "--kappa", "0.3", "--grid", "log:0.001:1000:50", "--what", "pdf,cdf"],
-        ["sample", "--family", "type4", "--alpha", "1.5", "--beta", "1", "--kappa", "0.3",
-         "--count", "100", "--seed", "3"],
-        ["sample", "--family", "type1", "--alpha", "1.5", "--beta", "1", "--nu", "1",
-         "--kappa", "0.9", "--count", "100", "--seed", "3"],
+        ["--help"],
+        ["eval", "--family", "type2", "--alpha", "1.5", *fam, *points],
+        ["eval", "--family", "type3", "--alpha", "1.5", "--lam", "0.5", *fam, *points],
+        ["eval", "--family", "type4", "--alpha", "1.5", *fam, *points],
+        ["eval", "--family", "type5", "--n", "2", *fam, *points],
+        ["sample", *type1, "--count", "100", "--seed", "3"],
+        ["sample", "--family", "type4", "--alpha", "1.5", *fam, "--count", "100", "--seed", "3"],
+        ["sample", "--family", "type5", "--n", "3", *fam, "--count", "100", "--seed", "3"],
         ["tail", "--input", str(data), "--fraction", "0.05"],
-        ["moments", "--family", "type3", "--alpha", "2.5", "--beta", "1", "--lam", "2",
-         "--kappa", "0.3", "--orders", "1,2,3"],
+        ["moments", *type1, *moments],
+        ["moments", "--family", "type2", "--alpha", "2.5", *fam, *moments],
+        ["moments", "--family", "type3", "--alpha", "2.5", "--lam", "2", *fam, *moments],
+        ["tabulate", *type1, "--grid", "log:0.001:1000:50", "--what", "pdf"],
     ]
-    # the positive controls: fitting, then Type3 moments past lambda = 2,
-    # which still integrate
+    # the positive controls: a Type I share, fitting, then Type3 moments
+    # past lambda = 2, which still integrate
+    share = ["tabulate", *type1, "--grid", "log:0.001:1000:50", "--what", "cdf"]
     fit = ["fit", "--family", "type2", "--input", str(data)]
-    quadrature = ["moments", "--family", "type3", "--alpha", "2.5", "--beta", "1", "--lam", "5",
-                  "--kappa", "0.3", "--orders", "1"]
-    loaded = _run_child([*light, fit, quadrature])
-    assert loaded[: len(light) + 1] == [[]] * (len(light) + 1)  # the import, then each light argv
-    assert "scipy.optimize" in loaded[-2]
-    assert "scipy.integrate" not in loaded[-2] and "scipy.integrate" in loaded[-1]
+    quadrature = ["moments", "--family", "type3", "--alpha", "2.5", "--lam", "5", *fam, "--orders", "1"]
+    scipy_after, loaded = _run_child([*light, share, fit, quadrature])
+    assert scipy_after == [[], []]  # import kappadist, then kappadist.cli
+    assert loaded[: len(light)] == [[]] * len(light)
+    assert loaded[len(light)] == ["scipy.special"]
+    assert "scipy.optimize" in loaded[-2] and "scipy.integrate" not in loaded[-2]
+    assert "scipy.integrate" in loaded[-1]

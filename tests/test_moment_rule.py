@@ -14,6 +14,7 @@ import pytest
 import kappadist
 from kappadist import (
     Distribution,
+    DomainError,
     KappaErlang,
     KappaNormal,
     MomentDivergesError,
@@ -123,6 +124,22 @@ def test_orders_next_to_an_end_stay_in_the_taxonomy(d, m):
             except MomentDivergesError:
                 continue
             assert math.isfinite(value) and value > 0.0, (x, value)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Type1(1.5, 1.0, 2.0, 0.2), KappaErlang(2, 1.0, 0.3), Type2(1.5, 1.0, 0.3), Type2(-1.5, 1.0, 0.3),
+     Type3(1.5, 1.0, 0.5, 0.3), Type4(1.0, 1.0, 0.5), Type5(2, 1.0, 0.5), Type2(1.5, 1.0, 0.0),
+     KappaNormal(1.0, 0.3)],
+    ids=repr,
+)
+def test_nan_order_is_a_domain_error_not_a_divergence(d):
+    with pytest.raises(DomainError) as exc:
+        d.raw_moment(math.nan)
+    assert not isinstance(exc.value, MomentDivergesError)
+    with pytest.raises(DomainError) as exc:
+        d.check_moment_order(math.nan)
+    assert not isinstance(exc.value, MomentDivergesError)
 
 
 def test_gini_needs_the_mean_up_to_its_end():
