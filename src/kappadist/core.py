@@ -194,7 +194,12 @@ def _sinh_k(v, k):
         # as in _log_kexp_neg: below |a| = 2^-26 sinh(a) = a to rounding
         with np.errstate(over="ignore"):
             return np.where(np.abs(a) < 2.0**-26, v, np.sinh(a) / k)
-    return np.sinh(a) / k
+    if not isinstance(a, np.ndarray):  # a scalar, also from a 0-d v
+        return np.sinh(a) / k
+    # in place, as in _log_kexp_neg: a large v then costs one temporary
+    np.sinh(a, out=a)
+    a /= k
+    return a
 
 
 def kappa_log(t, kappa):
@@ -236,9 +241,11 @@ def _stirling_rest(x):
     """
     if isinstance(x, np.ndarray):
         out = _stirling_series(x)
-        # the few x below 10 take the scalar form, so both paths agree bit for bit
+        # the few x below 10 take the scalar form, written out so that no
+        # call per entry is paid, and both paths agree bit for bit
         near = x < 10.0
-        out[near] = [_stirling_rest(v) for v in x[near].tolist()]
+        lgamma, log = math.lgamma, math.log
+        out[near] = [lgamma(v) - (v - 0.5) * log(v) + v - _HALF_LOG_2PI for v in x[near].tolist()]
         return out
     if x < 10.0:
         return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
