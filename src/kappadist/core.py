@@ -29,6 +29,7 @@ _DEEP_TAIL = 2.0**500
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_LOG_FLOAT_MAX = math.log(float(np.finfo(float).max))
 
 
 def check_kappa(kappa):
@@ -42,6 +43,11 @@ def check_kappa(kappa):
 def _maybe_item(a):
     """A 0-d result as a Python float; arrays pass through."""
     return float(a) if not isinstance(a, np.ndarray) or a.ndim == 0 else a
+
+
+def _exp(v):
+    """e^v for a float v, inf past the largest float, where math.exp raises."""
+    return math.exp(v) if v <= _LOG_FLOAT_MAX else math.inf
 
 
 def _log_kexp_neg(y, k):
@@ -59,6 +65,8 @@ def _log_kexp_neg(y, k):
         # arcsinh(u) = u to rounding, and past it u is normal
         with np.errstate(over="ignore"):
             return np.where(np.abs(u) < 2.0**-26, -y, -np.arcsinh(u) / k)
+    if type(u) is float:  # a Python float: math costs a tenth of numpy
+        return -math.asinh(u) / k
     if not isinstance(u, np.ndarray):  # a scalar, also from a 0-d y
         return -np.arcsinh(u) / k
     # in place: on large arrays each further temporary costs about as

@@ -11,7 +11,7 @@ draws (_draw) and the half-line -> real-line symmetrizer.  Only the
 families with a closed quantile draw by inverse transform: the Type I
 law draws from its Beta mixture and Type V by rejection, so no draw runs
 the solver.
-The density's powers at its two ends decide the mode's kind, the
+The density's powers at its two ends decide a pole of the mode, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
 family code runs.  PowerTransformed carries the change of variables
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .core import _TINY, _maybe_item, check_kappa
+from .core import _TINY, _exp, _maybe_item, check_kappa
 from .errors import DomainError, MomentDivergesError, NoConvergenceError, VarianceDivergesError
 
 __all__ = [
@@ -40,11 +40,12 @@ __all__ = [
     "as_generator",
 ]
 
-_QUANTILE_MAX_ITER = 200
+_MAX_ITER = 200  # of the quantile solver and of the mode's Newton steps
 _FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
 _EDGE = 8.0 * float(np.finfo(float).eps)  # rounding of a moment bound from the end powers
+_LOG_Y_END = 709.0  # the mode's bracket grows out to this |log y|, where y and 1/y are finite
 
 
 def check_param(name, value, positive=True):
@@ -93,6 +94,15 @@ class ModeResult:
     kind: str
     x: float = 0.0
     pdf_at_origin: float | None = None
+
+
+def _variance(m1, m2):
+    """m2 - m1^2; NoConvergenceError where cancellation, inf - inf or an
+    underflow leaves it not a positive number."""
+    var = m2 - m1 * m1
+    if not var > 0.0:
+        raise NoConvergenceError(f"variance {var:g} = {m2!r} - {m1!r}^2 is lost to cancellation")
+    return var
 
 
 class Distribution:
@@ -223,7 +233,7 @@ class Distribution:
         lo = np.full(target.shape, -np.inf)
         hi = np.full(target.shape, np.inf)
         cap = _FIRST_STEP
-        for _ in range(_QUANTILE_MAX_ITER):
+        for _ in range(_MAX_ITER):
             x = np.exp(t)
             # a family call on one 0-d value costs half of a 1-element one
             xs = x[0] if x.size == 1 else x
@@ -254,7 +264,7 @@ class Distribution:
             t = tn
         else:
             raise NoConvergenceError(
-                f"quantile solver did not converge in {_QUANTILE_MAX_ITER} iterations"
+                f"quantile solver did not converge in {_MAX_ITER} iterations"
             )
         big = out >= 0.5 * _FLOAT_MAX
         if np.count_nonzero(big):
@@ -340,8 +350,8 @@ class Distribution:
         m2 = self.raw_moment(2)
         m3 = self.raw_moment(3)
         m4 = self.raw_moment(4)
-        var = m2 - m1 * m1
-        sd = math.sqrt(max(var, 0.0))
+        var = _variance(m1, m2)
+        sd = math.sqrt(var)
         mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
         mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
         return DescriptiveStats(
@@ -360,40 +370,23 @@ class Distribution:
             self.check_moment_order(2)
         except MomentDivergesError as exc:
             raise VarianceDivergesError(exc.constraint, "the variance needs m = 2") from exc
-        m1 = self.raw_moment(1)
-        return self.raw_moment(2) - m1 * m1
+        return _variance(self.raw_moment(1), self.raw_moment(2))
 
     # -- shape ----------------------------------------------------------------
 
     def mode(self):
         """Where the density peaks: a pole where pdf ~ x^e with e < 0 at the
-        origin, else the family's _argmax or a golden-section search of log
-        pdf over log x between the 1e-12 and 1 - 1e-9 quantiles, widened down
-        to the 1e-300 quantile when the peak sits on the lower end; a peak at
-        0, or within rounding of pdf(0) (pdf flat there), is monotone."""
+        origin, else the family's _argmax(), 0 where the density falls from
+        the origin (monotone)."""
         e = self._pdf_singular_power()
         if e is not None and e < 0.0:
             return ModeResult(kind="pole", pdf_at_origin=math.inf)
         x = self._argmax()
-        if x is None:
-            ends = np.clip(self.quantile(np.array([1e-12, 1.0 - 1e-9])), math.ulp(0.0), _FLOAT_MAX)
-            lo, hi = np.log(ends).tolist()
-            t = oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12)
-            if t - lo <= 1e-12 * max(1.0, abs(lo) + abs(hi)):  # the peak may lie below the window
-                lo = math.log(max(self.quantile(1e-300), math.ulp(0.0)))
-                t = oracle.argmax(lambda t: self.logpdf(math.exp(t)), lo, hi, tol=1e-12)
-            x = math.exp(t)
-            if self.logpdf(x) <= self._logpdf_at_origin() + 1e-12:  # rounding, not a rise
-                x = 0.0
         if x == 0.0:
             with np.errstate(over="ignore"):  # a finite limit past the largest float
                 p0 = float(np.exp(self._logpdf_at_origin()))  # the bits of pdf(0.0)
             return ModeResult(kind="monotone", pdf_at_origin=p0)
         return ModeResult(kind="interior", x=x)
-
-    def _argmax(self):
-        """Closed argmax on [0, inf), 0 where pdf falls from the origin, or None."""
-        return None
 
     def _logpdf_at_origin(self):
         return self.logpdf(0.0)
@@ -421,7 +414,9 @@ class PowerTransformed(Distribution):
     _y_power and log g = _y_log_regular(y), which may overwrite y; and
     _y_ends() = ((n0, d0, log c0), (n1, d1, log c1)) with y pdf_Y(y) ~
     c y^(n/d) as y -> 0 and as y -> inf, None for an end beyond every
-    power.  This class maps it to X: alpha < 0 swaps the cdf and the
+    power; and _y_slope(log y) = (S, dS/d log y) with S = d log(y pdf_Y)/
+    d log y, so that d log pdf_X/d log x = alpha S - 1, whose root is the
+    mode.  This class maps it to X: alpha < 0 swaps the cdf and the
     survival, pdf_X(x) = |alpha| beta^w x^(alpha w - 1) g(y), and the ends
     of Y give the density's limit at the origin and its powers at both
     ends, each power (alpha n - d)/d rounded once, so that it is exactly 0
@@ -521,7 +516,42 @@ class PowerTransformed(Distribution):
         log_moment = 0.0 if m == 0 else self._y_log_moment(r)
         if log_moment is None:
             return self._moment_by_quadrature(m)
-        return math.exp(log_moment - r * math.log(self.beta))
+        return _exp(log_moment - r * math.log(self.beta))
+
+    def _argmax(self):
+        """The root in t = log x of d log pdf/d log x = alpha S - 1, S =
+        _y_slope, by Newton steps kept inside a bracket grown from y = 1 in
+        doubling steps; 0 where the slope does not rise above 0 out to
+        |log y| = _LOG_Y_END on the origin's side."""
+        a, log_b = self.alpha, math.log(self.beta)
+        t, width = -log_b / a, 1.0 / abs(a)
+        t_end = -(math.copysign(_LOG_Y_END, a) + log_b) / a
+        lo, hi = -math.inf, math.inf
+        for _ in range(_MAX_ITER):
+            s, ds = self._y_slope(log_b + a * t)
+            r, dr = a * s - 1.0, a * a * ds
+            if r > 0.0:
+                # at a finite pdf(0) the slope tends to 0 at the origin, where
+                # rounding may set its sign and dr, free of it, has that sign
+                if lo > -math.inf or hi == math.inf or dr > 0.0 or self._pdf_singular_power() != 0.0:
+                    lo = t
+            elif r == 0.0 and lo > -math.inf:
+                return _exp(t)  # an exact root
+            else:
+                hi = t
+            if lo == -math.inf and t == t_end:
+                return 0.0
+            if lo == -math.inf or hi == math.inf:  # toward the origin until a rise, then away
+                t = max(t - width, t_end) if lo == -math.inf else t + width
+                width *= 2.0
+                continue
+            tn = t - r / dr if dr else math.nan  # a slope flat to underflow: bisect
+            if not lo < tn < hi:
+                tn = 0.5 * (lo + hi)
+            if abs(tn - t) <= _STEP_TOL * (abs(t) + 1.0):
+                return _exp(tn)
+            t = tn
+        raise NoConvergenceError(f"mode did not converge in {_MAX_ITER} iterations")
 
 
 class SymmetrizedDistribution(Distribution):

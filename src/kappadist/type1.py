@@ -80,6 +80,12 @@ class Type1(PowerTransformed):
         far = None if k < _TINY else (self.nu - 1.0 / k, 1.0, log_c - math.log(2.0 * k) / k)
         return (self.nu, 1.0, log_c), far
 
+    def _y_slope(self, log_y):
+        # d log kappa_exp(-y)/d log y = -v, v = y/sqrt(1 + k^2 y^2)
+        y = math.exp(log_y)
+        h = math.hypot(1.0, self.kappa * y)
+        return self.nu - y / h, -y / (h * h * h)
+
     def _y_share(self, y, upper):
         return _gamma_share(y, self.nu, self.kappa, upper)
 
@@ -93,21 +99,6 @@ class Type1(PowerTransformed):
 
     def _y_log_moment(self, r):
         return log_mellin_kappa(self.nu + r, self.kappa) - self._log_mellin_nu
-
-    # -- shape -------------------------------------------------------------------
-
-    def _argmax(self):
-        # poles (a negative origin power) never get here
-        if self._pdf_singular_power() == 0.0:
-            return 0.0
-        a, nu, k = self.alpha, self.nu, self.kappa
-        v = k * (nu - 1.0 / a)
-        return (
-            self.beta ** (-1.0 / a)
-            * (nu - 1.0 / a) ** (1.0 / a)
-            * (1.0 - v * v) ** (-0.5 / a)
-        )
-
 
 # --------------------------------------------------------------------------
 # Erlang subfamily: alpha = 1, nu = n integer; cdf in closed polynomial form

@@ -2,11 +2,12 @@
 
 Type II is Type III at lambda = 1 and inherits its cdf, survival,
 density, hazard rate, cumulative hazard (arcsinh form), closed-form
-quantile and moments, whose series has the single Mellin term
+quantile, mode (the root of the log-density slope, for either sign of
+alpha) and moments, whose series has the single Mellin term
 Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha, here (either sign of
-alpha).  What needs lambda = 1 lives here: the closed hazard, Gini,
-Lorenz (alpha = 1) and the closed argmax, for either sign of alpha.
-alpha < 0 turns the cdf expression into the survival function.
+alpha).  What needs lambda = 1 lives here: the closed hazard, Gini and
+Lorenz (alpha = 1).  alpha < 0 turns the cdf expression into the
+survival function.
 """
 
 import math
@@ -69,18 +70,3 @@ class Type2(Type3):
             out = 1.0 - (1.0 - parr) * body
         out = np.where(parr == 1.0, 1.0, out)
         return _maybe_item(np.where(parr == 0.0, 0.0, out))
-
-    # -- shape ------------------------------------------------------------------------
-
-    def _argmax(self):
-        # poles never get here, and a finite pdf(0) (alpha = 1 or -kappa) is
-        # the peak; else d log pdf/d log x = alpha - 1 - alpha (k^2 v^2 + v),
-        # v = y/sqrt(1 + k^2 y^2), vanishes at a root of k^2 v^2 + v + c
-        if self._pdf_singular_power() == 0.0:
-            return 0.0
-        k, c = self.kappa, 1.0 / self.alpha - 1.0
-        v = -2.0 * c / (1.0 + math.sqrt(1.0 - 4.0 * k * k * c))
-        if not k * v < 1.0:
-            return 0.0
-        y = v / math.sqrt((1.0 - k * v) * (1.0 + k * v))
-        return math.exp((math.log(y) - math.log(self.beta)) / self.alpha)

@@ -124,6 +124,19 @@ class Type3(PowerTransformed):
         log_cosh = a - np.log1p(np.tanh(a)) if k > 0.0 else 0.0
         return math.log(lam) - log_cosh + log_e - 2.0 * np.log1p((lam - 1.0) * np.exp(log_e))
 
+    def _y_slope(self, log_y):
+        # S = 1 - tau^2 - v (1-q)/(1+q), q = (lambda-1) E, tau = k v; 1 -+ q
+        # come from E - 1, so 1 - q keeps its sign near lambda = 2
+        lam, k = self.lam, self.kappa
+        y = math.exp(log_y)
+        h = math.hypot(1.0, k * y)
+        v, c, tau = y / h, 1.0 / (h * h), k * y / h  # c = 1 - tau^2
+        log_e = _log_kexp_neg(y, k)
+        em1, q = math.expm1(log_e), (lam - 1.0) * math.exp(log_e)
+        q_plus = lam + (lam - 1.0) * em1
+        f = (2.0 - lam - (lam - 1.0) * em1) / q_plus
+        return c - v * f, -c * (2.0 * tau * tau + v * f) - 2.0 * q * (v / q_plus) ** 2
+
     def _y_ends(self):
         k = self.kappa
         # E ~ (2 k y)^(-1/k) and sqrt(1 + u^2) ~ k y as y -> inf; below the

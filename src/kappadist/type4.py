@@ -63,6 +63,15 @@ class Type4(PowerTransformed):
         r, log_cdf = self._log_terms(y)
         return math.log(2.0 / self.kappa) + log_cdf + 2.0 * np.log(r) - np.log1p(r * r)
 
+    def _y_slope(self, log_y):
+        # S = (1 - tau)/k - tau - tau^2 from log P and log(1 - tau), tau = u/h,
+        # h = sqrt(1 + u^2); 1 - tau = 1/(h (h + u)) keeps its digits at tau -> 1
+        k = self.kappa
+        u = k * math.exp(log_y)
+        h = math.hypot(1.0, u)
+        tau, tau_c = u / h, 1.0 / (h * (h + u))
+        return tau_c / k - tau * (1.0 + tau), -tau * tau_c * (1.0 + tau) * (1.0 / k + 1.0 + 2.0 * tau)
+
     def _y_ends(self):
         # y pdf_Y ~ (2 k y)^(1/k)/k as y -> 0 and 1/(2 k^3 y^2) as y -> inf
         k = self.kappa

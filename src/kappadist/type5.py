@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, check_kappa
+from .core import _TINY, _exp, _log_kexp_neg, _log_mellin_ratio, check_kappa
 from .errors import DomainError, UnsupportedOrderError
 from .framework import Distribution, check_param
 
@@ -60,7 +60,8 @@ class Type5(Distribution):
         finite where u*u overflows.
         """
         k = self.kappa
-        log_e = _log_kexp_neg(self.beta * x, k)
+        with np.errstate(over="ignore"):  # beta x past the largest float: E = 0
+            log_e = _log_kexp_neg(self.beta * x, k)
         if order == 1 or k == 0.0:
             return log_e  # the u = k z terms vanish (k log E is NaN at k = 0, x = inf)
         a = -k * log_e
@@ -93,8 +94,7 @@ class Type5(Distribution):
         rho_2 = (1 + k t) sqrt(1 - t^2) peaks at the root
         t = 2k/(1 + sqrt(1 + 8 k^2)) of 2 k t^2 + t - k, and
         rho_3 = (1 - k^2 + 3 k t (1 + k t))(1 - t^2) at the one root in (0, 1)
-        of f = 12 k^2 t^3 + 9 k t^2 + (2 - 8 k^2) t - 3 k: f(0) < 0 < f(1) and
-        f is convex on [0, 1], so Newton from t = 1 falls onto it monotonically.
+        of f = 12 k^2 t^3 + 9 k t^2 + (2 - 8 k^2) t - 3 k, convex there.
         """
         k = self.kappa
         if self.n == 1:
@@ -102,14 +102,7 @@ class Type5(Distribution):
         if self.n == 2:
             t = 2.0 * k / (1.0 + math.sqrt(1.0 + 8.0 * k * k))
         else:
-            t = 1.0
-            for _ in range(100):
-                f = ((12.0 * k * k * t + 9.0 * k) * t + 2.0 - 8.0 * k * k) * t - 3.0 * k
-                df = (36.0 * k * k * t + 18.0 * k) * t + 2.0 - 8.0 * k * k
-                tn = t - f / df
-                if not tn < t:
-                    break
-                t = tn
+            t = _convex_root(12.0 * k * k, 9.0 * k, 2.0 - 8.0 * k * k, -3.0 * k)
         return float(self._rho(t)) * (1.0 + 1e-12)
 
     def _survival(self, x):
@@ -121,6 +114,18 @@ class Type5(Distribution):
     def _logpdf(self, x):
         # pdf_n = -dS_n/dx = beta S_(n+1)
         return math.log(self.beta) + self._log_survival(x, self.n + 1)
+
+    def _hazard(self, x):
+        """-d log S_n/dx = beta sech(a) P_(n+1)(t)/P_n(t) down the ladder, with
+        beta sech(a) = 1/hypot(1/beta, k x): finite where S_n underflows."""
+        k = self.kappa
+        if k == 0.0:  # every order is the exponential law
+            return np.where(np.isnan(x), math.nan, self.beta)
+        with np.errstate(over="ignore"):
+            t = np.tanh(np.arcsinh(k * self.beta * x))
+            h = 1.0 / np.hypot(1.0 / self.beta, k * x)
+        p = (1.0, 1.0, 1.0 + k * t, 1.0 + self._p_excess(t, 4))
+        return h * p[self.n] / p[self.n - 1]
 
     def tail_exponent(self):
         """pdf ~ x^(-n - 1/kappa) for x -> inf."""
@@ -140,7 +145,7 @@ class Type5(Distribution):
         ratio is 1 and <x^m> = m!/beta^m.
         """
         self.check_moment_order(m)
-        return math.exp(
+        return _exp(
             math.lgamma(1.0 + m)
             - m * math.log(self.beta)
             + _log_mellin_ratio(m + 1.0 - self.n, self.kappa)
@@ -185,7 +190,24 @@ class Type5(Distribution):
         return None if self.kappa < _TINY else self.n + 1.0 / self.kappa
 
     def _argmax(self):
-        # pdf'(0) is -beta^2 (n = 1), beta^2 (k^2 - 1) (n = 2) and
-        # beta^2 (4 k^2 - 1) (n = 3); the deformation cannot create a
-        # stationary point once the density starts falling
-        return 0.0 if self.n < 3 or self.kappa < 0.5 else None
+        """0 where the density falls from the origin, else x at the root t of
+        P_5 = 1 - 4k^2 + (6k - 9k^3) t + 15k^2 t^2 + 15k^3 t^3: down the ladder
+        d log S_m/dz = -sech(a) P_(m+1)(t)/P_m(t), P_3 and P_4 are positive on
+        [0, 1), and P_5 is convex there and negative at 0 past k = 1/2."""
+        k = self.kappa
+        if self.n < 3 or k <= 0.5:
+            return 0.0
+        t = _convex_root(15.0 * k**3, 15.0 * k * k, 6.0 * k - 9.0 * k**3, 1.0 - 4.0 * k * k)
+        return t / (k * self.beta * math.sqrt((1.0 - t) * (1.0 + t)))  # sinh(a)/(k beta)
+
+
+def _convex_root(c3, c2, c1, c0):
+    """The root in (0, 1) of c3 t^3 + c2 t^2 + c1 t + c0, convex on [0, 1],
+    negative at 0 and positive at 1: Newton from t = 1 falls onto it."""
+    t = 1.0
+    for _ in range(100):
+        tn = t - (((c3 * t + c2) * t + c1) * t + c0) / ((3.0 * c3 * t + 2.0 * c2) * t + c1)
+        if not tn < t:  # rounding would turn it back
+            break
+        t = tn
+    return t

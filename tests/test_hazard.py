@@ -38,11 +38,18 @@ def test_far_tail_hazard_is_a_minus_one_over_x(d):
     assert np.array_equal(h, scalars)
 
 
-@pytest.mark.parametrize("d", [Type1(1.5, 1.0, 1.0, 0.0), Type5(2, 1.0, 0.0)], ids=repr)
+@pytest.mark.parametrize("d", [Type1(1.5, 1.0, 1.0, 0.0)], ids=repr)
 def test_no_tail_power_keeps_inf(d):
     # kappa = 0: the survival underflows beyond every power
     assert d.hazard(1e300) == math.inf
     assert d.hazard(math.inf) == math.inf
+
+
+def test_exponential_tail_keeps_its_rate():
+    # every Type V order is the exponential law at kappa = 0
+    d = Type5(2, 1.3, 0.0)
+    assert d.hazard(1e300) == 1.3
+    assert d.hazard(math.inf) == 1.3
 
 
 def test_bulk_hazard_is_pdf_over_survival():

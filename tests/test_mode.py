@@ -1,9 +1,10 @@
 """One mode rule for every half-line family.
 
 Distribution.mode reads the density's power at the origin: a negative
-power is a pole; otherwise the family's closed argmax, or a search in
-log x, gives the peak, and a peak no higher than pdf(0) means the
-density falls from the origin.
+power is a pole; otherwise the family's _argmax gives the peak, 0 where
+the density falls from the origin.  Every power-transformed family finds
+it as the root of d log pdf/d log x, and Type V as the root of a
+polynomial, so each interior mode is exact to rounding.
 """
 
 import inspect
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import kappadist
-from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5
+from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5, oracle
 
 ALPHAS = (0.2, 0.5, 1.0, 2.5, -0.2, -0.5, -1.0, -2.5)
 KAPPAS = (0.0, 0.3, 0.5, 0.9)
@@ -62,6 +63,60 @@ def test_mode_against_a_log_grid(d):
         assert top > p0 * (1.0 + 1e-12)  # a rise above rounding
         assert top >= (1.0 - 1e-12) * pdf.max()
         assert top >= d.pdf(res.x * (1.0 - 1e-6)) and top >= d.pdf(res.x * (1.0 + 1e-6))
+
+
+def _mp_log_pdf(d):
+    """log pdf(e^t) up to a constant, as a function of t at mpmath precision,
+    from each family's printed density: |alpha| y pdf_Y(y)/x with y = beta
+    x^alpha for the power-transformed families, and beta S_(n+1)(beta x)
+    for Type V."""
+    mp = mpmath
+    if isinstance(d, Type5):
+        b, k = mp.mpf(d.beta), mp.mpf(d.kappa)
+
+        def log_pdf(t):
+            u = k * b * mp.exp(t)
+            log_e = -b * mp.exp(t) if k == 0 else -mp.asinh(u) / k
+            tau = u / mp.sqrt(1 + u * u)
+            p = [1, 1 + k * tau, 1 - k * k + 3 * k * tau * (1 + k * tau)][d.n - 1]
+            return log_e - mp.mpf(d.n) / 2 * mp.log(1 + u * u) + mp.log(p)
+
+        return log_pdf
+    a, b, k = (mp.mpf(v) for v in (d.alpha, d.beta, d.kappa))
+
+    def log_y_pdf(y):
+        u = k * y
+        log_e = -y if k == 0 else -mp.asinh(u) / k
+        if isinstance(d, Type1):
+            return mp.mpf(d.nu) * mp.log(y) + log_e
+        if isinstance(d, Type3):
+            lam = mp.mpf(d.lam)
+            return mp.log(y) + log_e - mp.log(1 + u * u) / 2 - 2 * mp.log(1 + (lam - 1) * mp.exp(log_e))
+        return (mp.log(2 * u) - mp.asinh(u)) / k + mp.log(1 - u / mp.sqrt(1 + u * u))  # Type4
+
+    return lambda t: log_y_pdf(b * mp.exp(a * t)) - t
+
+
+@pytest.mark.parametrize("d", GRID_OBJECTS, ids=repr)
+def test_interior_mode_is_the_root_of_the_log_slope(d):
+    res = d.mode()
+    if res.kind != "interior":
+        return
+    with mpmath.workdps(40):
+        log_pdf = _mp_log_pdf(d)
+        t = mpmath.findroot(lambda t: mpmath.diff(log_pdf, t), math.log(res.x))
+        ref = float(mpmath.exp(t))
+    assert res.x == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_mode_needs_no_search_and_no_quantile(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mode must not search or invert")
+
+    monkeypatch.setattr(oracle, "argmax", forbidden)
+    monkeypatch.setattr(Distribution, "_solve_quantile", forbidden)
+    kinds = {d.mode().kind for d in GRID_OBJECTS}
+    assert kinds == {"pole", "monotone", "interior"}
 
 
 def _mp_type3_mode(a, b, lam, k, x0):
@@ -119,29 +174,28 @@ class TestKnownShapes:
         res = d.mode()
         assert res.kind == "interior"
         ref = _mp_type3_mode(d.alpha, d.beta, d.lam, d.kappa, x0)
-        assert res.x == pytest.approx(ref, rel=1e-7)
+        assert res.x == pytest.approx(ref, rel=1e-13)
 
     def test_logistic_mode_at_zero_kappa_is_log_two(self):
-        assert Type3(1.0, 1.0, 3.0, 0.0).mode().x == pytest.approx(math.log(2.0), rel=1e-7)
+        assert Type3(1.0, 1.0, 3.0, 0.0).mode().x == pytest.approx(math.log(2.0), rel=1e-13)
 
     @pytest.mark.parametrize("d", [Type2(-0.02, 1.0, 0.0), Type4(0.02, 1.0, 0.01)], ids=repr)
-    def test_search_past_the_largest_float(self, d):
+    def test_peak_of_a_law_whose_upper_quantiles_are_inf(self, d):
         # quantile(1 - 1e-9) is inf; the density vanishes at the origin
         assert d.quantile(1.0 - 1e-9) == math.inf and d.pdf(0.0) == 0.0
         res = d.mode()
         assert res.kind == "interior" and 0.0 < res.x < math.inf
 
-    def test_peak_below_the_search_window_closed(self):
+    def test_peak_far_below_the_lower_quantiles_closed(self):
         # pdf = 0.02 x^-1.02 exp(-x^-0.02) peaks at 51^-50, where the cdf is
-        # e^-51 ~ 7e-23, far below the window's lower end quantile(1e-12)
+        # e^-51 ~ 7e-23, far below quantile(1e-12)
         d = Type2(-0.02, 1.0, 0.0)
         assert d.quantile(1e-12) > 1e-80
         res = d.mode()
         assert res.kind == "interior"
-        # log pdf is flat to rounding within ~1e-6 of the peak in log x
-        assert res.x == pytest.approx(51.0**-50, rel=1e-5, abs=0.0)
+        assert res.x == pytest.approx(51.0**-50, rel=1e-13, abs=0.0)
 
-    def test_peak_below_the_search_window_mpmath(self):
+    def test_peak_far_below_the_lower_quantiles_mpmath(self):
         a, b, k = 0.02, 1.0, 0.01
         d = Type4(a, b, k)
         res = d.mode()
@@ -155,7 +209,7 @@ class TestKnownShapes:
                 return log_cdf + mpmath.log(a_ / k_ * (1 - u / mpmath.sqrt(1 + u * u))) - t
 
             t_ref = mpmath.findroot(lambda t: mpmath.diff(logpdf, t), math.log(res.x))
-        assert math.log(res.x) == pytest.approx(float(t_ref), rel=1e-8)
+        assert math.log(res.x) == pytest.approx(float(t_ref), rel=1e-13)
 
     @pytest.mark.parametrize(
         "d",
@@ -163,8 +217,8 @@ class TestKnownShapes:
         ids=repr,
     )
     def test_flat_origin_is_monotone(self, d):
-        # pdf'(0) = 0 and the density falls: the search's peak next to the
-        # origin differs from pdf(0) only by rounding
+        # pdf'(0) = 0 and the density falls: the slope of log pdf tends to 0
+        # from below at the origin, where rounding alone could lift it above 0
         assert d.mode().kind == "monotone"
 
 
@@ -184,8 +238,8 @@ def _mp_type2_mode(a, b, k, x0):
 
 @pytest.mark.parametrize("k", KAPPAS)
 @pytest.mark.parametrize("a", [1.2, 2.5, 7.0, -0.02, -0.5, -1.0, -2.5])
-def test_type2_closed_mode_against_mpmath(a, k):
-    # one quadratic in v for both signs of alpha; |alpha| <= kappa is a
+def test_type2_mode_against_mpmath(a, k):
+    # one root of the slope for both signs of alpha; |alpha| <= kappa is a
     # pole or, at |alpha| = kappa, monotone
     d = Type2(a, 1.3, k)
     res = d.mode()
@@ -200,5 +254,9 @@ def test_one_mode_rule():
     classes = [c for _, c in inspect.getmembers(kappadist, inspect.isclass) if issubclass(c, Distribution)]
     with_mode = {c.__name__ for c in classes if "mode" in vars(c)}
     assert with_mode == {"Distribution", "SymmetrizedDistribution", "KappaLogistic"}
+    # PowerTransformed, the other owner of _argmax, is not exported
     with_argmax = {c.__name__ for c in classes if "_argmax" in vars(c)}
-    assert with_argmax == {"Distribution", "Type1", "Type2", "Type5"}
+    assert with_argmax == {"Type5"}
+    assert "_argmax" in vars(kappadist.framework.PowerTransformed)
+    with_slope = {c.__name__ for c in classes if "_y_slope" in vars(c)}
+    assert with_slope == {"Type1", "Type3", "Type4"}

@@ -18,6 +18,7 @@ from kappadist import (
     KappaErlang,
     KappaNormal,
     MomentDivergesError,
+    NoConvergenceError,
     Type1,
     Type2,
     Type3,
@@ -150,3 +151,24 @@ def test_gini_needs_the_mean_up_to_its_end():
 def test_odd_symmetric_orders_vanish_past_the_half_window():
     d = KappaNormal(1.0, 0.7)  # the half has <x^m> only for m < 2/0.7 - 1
     assert d.raw_moment(3) == 0.0
+
+
+@pytest.mark.parametrize("d, m", [(Type5(1, 1e-300, 0.3), 2), (Type2(1e-8, 1.0, 0.0), 1)], ids=repr)
+def test_a_moment_past_the_largest_float_reads_inf(d, m):
+    d.check_moment_order(m)  # inside the window
+    assert d.raw_moment(m) == math.inf
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Type1(1e8, 1.0, 1.0, 0.3), Type2(1e8, 1.0, 0.3), Type2(1e8, 1.0, 0.0), Type2(-1e8, 1.0, 0.3),
+     Type3(1e8, 1.0, 0.5, 0.3), Type3(-1e8, 1.0, 2.0, 0.3), Type5(2, 1e300, 0.3), Type5(3, 1e300, 0.0),
+     Type5(3, 1e-300, 0.3)],
+    ids=repr,
+)
+def test_a_variance_lost_to_rounding_is_a_numerical_failure(d):
+    # m2 and m1^2 agree to rounding (alpha = 1e8), underflow (beta = 1e300)
+    # or are both inf (beta = 1e-300): m2 - m1^2 is not a positive number
+    for call in (d.variance, d.descriptive_stats):
+        with pytest.raises(NoConvergenceError, match="cancellation"):
+            call()

@@ -71,9 +71,7 @@ def test_moments_are_classical(name, k):
 def test_mode_is_classical(name, k):
     got, want = FAMILIES[name](k).mode(), FAMILIES[name](0.0).mode()
     assert got.kind == want.kind
-    # Type3 at lambda != 1 finds its peak by golden section, to ~1e-8
-    rel = 1e-7 if name.startswith("Type3") else 1e-14
-    assert close(got.x, want.x, rel)
+    assert close(got.x, want.x)
 
 
 @pytest.mark.parametrize("k", KAPPAS)

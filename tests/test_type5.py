@@ -155,6 +155,26 @@ class TestLimitsAtInfinity:
         assert d.survival(math.inf) == 0.0
         np.testing.assert_array_equal(d.cdf(np.array([0.0, math.inf])), [0.0, 1.0])
 
+    @pytest.mark.parametrize("k", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_limits_where_beta_x_overflows(self, n, k):
+        # beta x = 1e600 at x = 1e300 raises no overflow warning (an error
+        # under the test configuration); every function reads its limit
+        d = Type5(n, 1e300, k)
+        for x in (1e300, math.inf):
+            assert d.pdf(x) == 0.0 and d.logpdf(x) == -math.inf
+            assert d.cdf(x) == 1.0 and d.survival(x) == 0.0
+            # every order is exponential at k = 0; else pdf ~ x^-(n + 1/k)
+            want = d.beta if k == 0.0 else (n - 1.0 + 1.0 / k) / x
+            assert d.hazard(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hazard_is_pdf_over_survival(self, n, k):
+        d = Type5(n, 1.3, k)
+        x = np.array([0.0, 0.01, 0.5, 3.0, 40.0])
+        np.testing.assert_allclose(d.hazard(x), d.pdf(x) / d.survival(x), rtol=1e-14)
+
 
 def _mp_survival(n, beta, kappa, x):
     """Order-n Type V survival g^(n-1)(x)/g^(n-1)(0), from its printed closed form."""
