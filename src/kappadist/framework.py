@@ -15,8 +15,9 @@ The density's powers at its two ends decide a pole of the mode, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
 family code runs.  PowerTransformed carries the change of variables
-Y = beta X^alpha, with its quantiles, draws and moments, for the
-families that write only the law of Y (Type1, Type3, Type4).
+Y = beta X^alpha, with its quantiles, draws and moments, for every
+half-line family (Type1 to Type5), each of which writes only the law
+of Y.
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -337,14 +338,6 @@ class Distribution:
         )
         return res.value
 
-    def _pdf_tail_power(self):
-        """Exponent a of pdf ~ x**-a as x -> inf, or None: faster than every power."""
-        return None
-
-    def _pdf_singular_power(self):
-        """Exponent s of pdf ~ x**s as x -> 0, or None: faster than every power."""
-        return None
-
     def descriptive_stats(self):
         m1 = self.raw_moment(1)
         m2 = self.raw_moment(2)
@@ -387,9 +380,6 @@ class Distribution:
                 p0 = float(np.exp(self._logpdf_at_origin()))  # the bits of pdf(0.0)
             return ModeResult(kind="monotone", pdf_at_origin=p0)
         return ModeResult(kind="interior", x=x)
-
-    def _logpdf_at_origin(self):
-        return self.logpdf(0.0)
 
     def symmetrize(self):
         if self.support_real_line:
@@ -468,30 +458,36 @@ class PowerTransformed(Distribution):
 
     def _logpdf(self, x):
         w = self._y_power
+        e, log_c = self.alpha * w - 1.0, math.log(abs(self.alpha)) + w * math.log(self.beta)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_x = np.log(x)
             out = self._y_log_regular(self._y(x))
-            out += (self.alpha * w - 1.0) * log_x + (
-                math.log(abs(self.alpha)) + w * math.log(self.beta)
-            )
+            if e == 0.0:  # x^0: g holds the density's limits at x = 0 and inf
+                out += log_c
+                return out
+            log_x = np.log(x)
+            out += e * log_x + log_c
         # at x = 0 and inf the terms can read 0 * inf or inf - inf; the
         # density vanishes at inf for every family
         if np.count_nonzero(np.isinf(log_x)):
             out = np.where(x == 0.0, self._logpdf_at_origin(), np.where(x == np.inf, -np.inf, out))
         return out
 
-    def _x_end(self, at_origin):
-        """(e, log C) with pdf_X ~ C x^e as x -> 0 (at_origin) or x -> inf,
-        or None where the density falls faster than every power."""
-        end = self._y_ends()[0 if (self.alpha > 0.0) == at_origin else 1]
-        if end is None:
-            return None
-        num, den, log_c = end
-        log_c += math.log(abs(self.alpha)) + num / den * math.log(self.beta)
-        return (self.alpha * num - den) / den, log_c
+    @functools.cached_property
+    def _x_ends(self):
+        """(e, log C) with pdf_X ~ C x^e as x -> 0 and as x -> inf, each None
+        where the density falls faster than every power; worked out once,
+        for the law of Y is fixed at construction."""
+        a, out = self.alpha, []
+        for end in self._y_ends()[:: 1 if a > 0.0 else -1]:
+            if end is not None:
+                num, den, log_c = end
+                log_c += math.log(abs(a)) + num / den * math.log(self.beta)
+                end = (a * num - den) / den, log_c
+            out.append(end)
+        return out
 
     def _logpdf_at_origin(self):
-        end = self._x_end(at_origin=True)
+        end = self._x_ends[0]
         if end is None:
             return -math.inf  # an essential zero, such as e^(-beta/x^|alpha|)
         e, log_c = end
@@ -500,11 +496,13 @@ class PowerTransformed(Distribution):
         return -math.inf if e > 0.0 else math.inf
 
     def _pdf_singular_power(self):
-        end = self._x_end(at_origin=True)
+        """Exponent s of pdf ~ x**s as x -> 0, or None: faster than every power."""
+        end = self._x_ends[0]
         return None if end is None else end[0]
 
     def _pdf_tail_power(self):
-        end = self._x_end(at_origin=False)
+        """Exponent a of pdf ~ x**-a as x -> inf, or None: faster than every power."""
+        end = self._x_ends[1]
         return None if end is None else -end[0]
 
     def _quantile_scale(self):

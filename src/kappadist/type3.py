@@ -253,6 +253,13 @@ class KappaLogistic(Distribution):
             out -= a - np.log1p(np.tanh(a))
         return out
 
+    def _hazard(self, x):
+        # the density is beta F S/sqrt(1 + u^2), so pdf/S = F/hypot(1/beta, k (x - loc)):
+        # E cancels, and the hazard stays finite where S underflows
+        k = self.kappa
+        root = np.hypot(1.0 / self.beta, k * (x - self.loc)) if k > 0.0 else 1.0 / self.beta
+        return self._cdf(x) / root
+
     def _pdf_tail_power(self):
         return None if self.kappa < _TINY else 1.0 + 1.0 / self.kappa
 

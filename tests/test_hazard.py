@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kappadist import KappaErlang, KappaNormal, Type1, Type2, Type3, Type4, Type5
+from kappadist import KappaErlang, KappaLogistic, KappaNormal, Type1, Type2, Type3, Type4, Type5
 
 FAR = np.array([1e50, 1e100, 1e200, 1e300, np.inf])
 
@@ -106,3 +106,48 @@ class TestHazardRateBelowZeroAlpha:
         if kappa > 0.0:
             h = h / np.hypot(1.0, kappa * (1.3 * np.power(x, 1.5)))
         assert np.array_equal(d.hazard_rate(x), h)
+
+
+def _mp_logistic_hazard(x, beta, kappa, loc):
+    # pdf/S = beta F/sqrt(1 + u^2), F = 1/(1 + E), E = exp_k(-z), u = k z, z = beta (x - loc)
+    with mpmath.workdps(40):
+        b, k = mpmath.mpf(beta), mpmath.mpf(kappa)
+        z = b * (mpmath.mpf(x) - mpmath.mpf(loc))
+        log_e = -z if kappa == 0.0 else -mpmath.asinh(k * z) / k
+        return b / ((1 + mpmath.exp(log_e)) * mpmath.sqrt(1 + (k * z) ** 2))
+
+
+_MAGNITUDES = np.logspace(-300, 300, 121)
+LOGISTIC_X = np.concatenate(
+    [-_MAGNITUDES[::-1], [-0.0, 0.0], _MAGNITUDES, [-800.0, -720.0, -700.0, 700.0, 720.0, 800.0]]
+)
+
+
+@pytest.mark.parametrize("loc", [0.0, -1000.0])
+@pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.3, 0.9])
+def test_logistic_hazard_against_mpmath(kappa, loc):
+    # closed: E cancels, so the far right tail reads beta/sqrt(1 + u^2),
+    # not a ratio of two underflowed values
+    d = KappaLogistic(1.0, kappa, loc=loc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = d.hazard(LOGISTIC_X)
+    assert np.array_equal(h, [d.hazard(float(x)) for x in LOGISTIC_X])
+    tiny = np.finfo(float).tiny
+    for x, got in zip(LOGISTIC_X, h):
+        ref = _mp_logistic_hazard(x, 1.0, kappa, loc)
+        if ref < tiny:  # below the normal range both read about 0
+            assert 0.0 <= got <= tiny, x
+        else:
+            assert abs(got - ref) <= 1e-12 * ref, x
+
+
+def test_logistic_hazard_where_survival_underflows():
+    assert KappaLogistic(1.0, 0.0).hazard(800.0) == 1.0
+    assert KappaLogistic(1.0, 1e-8).hazard(800.0) == pytest.approx(1.0, rel=1e-10)
+    d = KappaLogistic(1.0, 1e-8, loc=-1000.0)
+    assert d.hazard(0.0) == d.hazard(-0.0) == pytest.approx(1.0, rel=1e-9)
+    assert KappaLogistic(1.0, 0.0).hazard(math.inf) == 1.0
+    assert KappaLogistic(1.0, 0.3).hazard(math.inf) == 0.0
+    assert KappaLogistic(1.0, 0.3).hazard(-math.inf) == 0.0
+    assert math.isnan(KappaLogistic(1.0, 0.3).hazard(math.nan))

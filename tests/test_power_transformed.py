@@ -1,4 +1,4 @@
-"""The change of variables Y = beta X^alpha shared by Type1, Type3 and Type4.
+"""The change of variables Y = beta X^alpha shared by every half-line family.
 
 Each family declares only the law of Y; the density's limit at the
 origin and its powers at both ends of the support are derived from one
@@ -6,14 +6,17 @@ declaration of that law's end powers, and the quadrature oracles read
 them.
 """
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import kappadist
 from conftest import integrate_pdf
-from kappadist import KappaErlang, Type1, Type2, Type3, Type4
+from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5
+from kappadist.framework import PowerTransformed
 
 
 def _families():
@@ -139,3 +142,32 @@ class TestHazardRateFarTail:
             h3 = Type3(1.5, 1.0, 2.0, 0.3).hazard_rate(x)
         assert np.array_equal(h3, Type2(1.5, 1.0, 0.3).hazard_rate(x))
         assert np.all(h3 > 0.0)
+
+
+def test_every_half_line_family_is_power_transformed():
+    classes = [c for _, c in inspect.getmembers(kappadist, inspect.isclass) if issubclass(c, Distribution)]
+    half = {c for c in classes if c is not Distribution and not c.support_real_line}
+    assert {c.__name__ for c in half} == {"Type1", "Type2", "Type3", "Type4", "Type5", "KappaErlang"}
+    assert all(issubclass(c, PowerTransformed) for c in half)
+    # Type5 writes the law of Y; its shares, density, scale and end powers are mapped
+    mapped = {"_cdf", "_survival", "_pdf", "_logpdf", "_quantile_scale", "_pdf_singular_power", "_pdf_tail_power"}
+    assert not mapped & set(vars(Type5))
+    assert "_logpdf_at_origin" not in vars(Distribution)
+
+
+TYPE5 = [Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)]
+
+
+@pytest.mark.parametrize("d", TYPE5, ids=repr)
+def test_type5_end_powers(d):
+    # pdf(0) = beta P_(n+1)(0), finite, and pdf ~ x^-(n + 1/kappa) in the tail
+    assert d._pdf_singular_power() == 0.0
+    k = d.kappa
+    p0 = (1.0 - k) * (1.0 + k) if d.n == 3 else 1.0
+    assert d.pdf(0.0) == pytest.approx(1.3 * p0, rel=1e-15)
+    assert d.logpdf(0.0) == pytest.approx(math.log(1.3 * p0), rel=1e-15)
+    if k == 0.0:
+        assert d._pdf_tail_power() is None
+        return
+    assert d._pdf_tail_power() == pytest.approx(d.n + 1.0 / k, rel=1e-15)
+    assert _log_slope(d, 1e40, 1e60) == pytest.approx(-d._pdf_tail_power(), rel=1e-9)

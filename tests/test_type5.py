@@ -236,4 +236,51 @@ class TestMellinMoments:
         # the quadrature this replaces gave 0.515 here
         d = Type5(1, 1.3, 1e-5)
         assert d.raw_moment(1) == d.mean()
-        assert d.mean() == pytest.approx(1.0 / (1.3 * (1.0 - 1e-10)), rel=1e-14)
+        assert d.mean() == pytest.approx(1.0 / (1.3 * (1.0 - 1e-10)), rel=1e-14, abs=0.0)
+
+
+def _mp_generatrix_derivative(kappa, z, order):
+    """d^order/dz^order of exp_k(-z) at z, by 60-digit mpmath differentiation."""
+    k = mpmath.mpf(kappa)
+
+    def g(s):
+        return mpmath.exp(-mpmath.asinh(k * s) / k) if k else mpmath.exp(-s)
+
+    return mpmath.diff(g, mpmath.mpf(z), order)
+
+
+class TestNearKappaEdges:
+    """Values whose constant terms 1 - k^2 and 1 - 4k^2 vanish at an edge of
+    kappa, against derivatives of the generatrix: S_n(z) = g^(n-1)(z) up to
+    a constant with g = exp_k(-z), g''(0) = 1, so pdf_3 = -beta g'''(z)."""
+
+    @pytest.mark.parametrize("k", [0.50000001, 0.5000001, 0.500001, 0.6, 0.9, 0.999])
+    def test_order_three_mode_against_mpmath(self, k):
+        # the mode is where g'''' vanishes: P_5(0) = (1 - 2k)(1 + 2k) -> 0 at k = 1/2
+        b = 1.3
+        x = Type5(3, b, k).mode().x
+        with mpmath.workdps(60):
+            root = mpmath.findroot(lambda z: _mp_generatrix_derivative(k, z, 4), mpmath.mpf(b * x))
+            assert x == pytest.approx(float(root / b), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0.999, 0.999999, 1.0 - 1e-8])
+    def test_order_three_pdf_and_hazard_near_origin(self, k):
+        # pdf(0) = beta (1 - k^2) -> 0 as k -> 1
+        b = 1.3
+        d = Type5(3, b, k)
+        x = np.array([0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1])
+        pdf, hazard = d.pdf(x), d.hazard(x)
+        for xi, p, h in zip(x, pdf, hazard):
+            with mpmath.workdps(60):
+                g3 = _mp_generatrix_derivative(k, b * xi, 3)
+                expect_p = -b * g3
+                expect_h = expect_p / _mp_generatrix_derivative(k, b * xi, 2)
+            assert p == pytest.approx(float(expect_p), rel=1e-14, abs=0.0), xi
+            assert h == pytest.approx(float(expect_h), rel=1e-14, abs=0.0), xi
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hazard_where_kappa_beta_underflows(self, n):
+        # k beta is 0 at k = 1e-320, beta = 1e-300, but k (beta x) is not: no 0 * inf
+        d = Type5(n, 1e-300, 1e-320)
+        assert d.hazard(math.inf) == 0.0
+        assert d.hazard(1e300) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
