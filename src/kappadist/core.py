@@ -92,7 +92,14 @@ def _gamma_share(y, nu, k, upper):
     leading term s^a/(a B(a, nu)) of I_s(a, nu) is exact and is taken with
     log s = -2 arcsinh(u).  Below KAPPA_SWITCH the classical regularized
     Gamma shares are used.
+
+    At nu = 1 both Beta terms are powers, I_s(a, 1) = s^a, and the upper
+    share is kappa_exp(-y) (sqrt(1 + u^2) + k u), taken for every k as
+    log S = -w (1 - k)/k + log1p((1 - k)/2 expm1(-2w)), w = arcsinh(u),
+    two terms of one sign.
     """
+    if nu == 1.0:
+        return _exp_share(y, k, upper)
     # imported here, so only the Type I shares pay for loading scipy.special
     from scipy.special import betainc, betaln, gammainc, gammaincc
 
@@ -124,6 +131,32 @@ def _gamma_share(y, nu, k, upper):
         up = w1 * np.exp(a * log_s - math.log(a) - betaln(a, nu))
         out[deep] = up if upper else 1.0 - up
     return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
+
+
+def _exp_share(y, k, upper):
+    """_gamma_share at nu = 1, exp(-y) below the smallest normal k."""
+    shape, y = np.shape(y), np.atleast_1d(y)
+    if k < _TINY:
+        log_s = -y
+    else:
+        # in place, as in _log_kexp_neg
+        log_s = k * y
+        np.arcsinh(log_s, out=log_s)
+        tail = np.multiply(log_s, -2.0)
+        np.expm1(tail, out=tail)
+        tail *= 0.5 * (1.0 - k)
+        with np.errstate(over="ignore"):
+            log_s /= k
+        # as in _log_kexp_neg: below u = 2^-26, and where u underflows,
+        # arcsinh(u)/k is y to rounding
+        small = k * y < 2.0**-26
+        if np.count_nonzero(small):
+            log_s[small] = y[small]
+        log_s *= k - 1.0
+        log_s += np.log1p(tail, out=tail)
+    if upper:
+        return np.exp(log_s, out=log_s).reshape(shape)
+    return np.negative(np.expm1(log_s, out=log_s), out=log_s).reshape(shape)
 
 
 def _log_gamma_draw(gen, shape, size):

@@ -12,7 +12,8 @@ regularized incomplete Beta functions
     1 - G(y) = w1 I_s(a, nu) + w2 I_s(a+1, nu),
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
-(core._gamma_share), so no quadrature is needed at evaluation time,
+(core._gamma_share; at nu = 1 both terms are powers and it is
+elementary), so no quadrature is needed at evaluation time,
 and s is drawn exactly from the matching Beta mixture
 (core._gamma_share_log_draw), so sampling needs no quantile.  Type1
 writes only this law of y; framework.PowerTransformed maps it to x, for
@@ -172,7 +173,8 @@ class KappaErlang(Type1):
     """Type I with alpha = 1 and integer nu = n: closed cdf, survival and hazard.
 
     General scale beta enters by the substitution x -> beta x, which
-    leaves the polynomial identity intact.
+    leaves the polynomial identity intact.  At n = 1 Type1's share is
+    itself elementary and exact to rounding on both sides, and is used.
     """
 
     def __init__(self, n, beta, kappa):
@@ -185,6 +187,8 @@ class KappaErlang(Type1):
         return {"n": self.n, "beta": self.beta, "kappa": self.kappa}
 
     def _survival(self, x):
+        if self.n == 1:
+            return super()._survival(x)
         z = self.beta * x
         k = self.kappa
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,6 +205,8 @@ class KappaErlang(Type1):
         return out.reshape(x.shape)
 
     def _cdf(self, x):
+        if self.n == 1:
+            return super()._cdf(x)
         out = np.atleast_1d(1.0 - self._survival(x))
         # 1 - survival has only absolute precision; near the origin take
         # the incomplete-Beta lower fraction, exact in relative terms

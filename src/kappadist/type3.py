@@ -233,9 +233,15 @@ class KappaLogistic(Distribution):
         return {"beta": self.beta, "kappa": self.kappa, "loc": self.loc}
 
     def _cdf(self, x):
-        # E overflows only where the cdf is below every float
+        # beta (x - loc) is formed twice, not kept: on a large array a live
+        # temporary costs more than the rare second pass
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
+            out = 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
+            if np.all(out):
+                return out
+            # where E overflows the cdf is 1/E to rounding, down into the subnormals
+            e_inv = np.exp(-_log_kexp_neg(self.beta * (x - self.loc), self.kappa))
+            return np.where(out == 0.0, e_inv, out)
 
     def _survival(self, x):
         # E(z) E(-z) = 1: the cdf mirrored about loc, not 1 - cdf

@@ -1,6 +1,7 @@
 """scipy is loaded only where a value needs it: scipy.special by the Type I
-shares, fitting and quadrature, scipy.optimize by fitting and
-scipy.integrate by quadrature.  Importing kappadist loads no scipy module.
+shares at nu != 1 and by quadrature, scipy.integrate by quadrature.
+Importing kappadist loads no scipy module, nor does fitting any family or
+a Type I share at nu = 1.
 
 The check runs in a fresh interpreter, since this process already holds
 scipy.integrate: pyproject.toml's warning filters name one of its classes.
@@ -52,14 +53,24 @@ def _run_child(argvs):
     return scipy_after, loaded
 
 
-def test_only_type1_shares_fit_and_quadrature_load_scipy(tmp_path):
-    data = tmp_path / "draws.csv"
-    draws = kappadist.Type2(1.5, 1.0, 0.3).sample(1000, 7)
-    data.write_text("".join(f"{float(v)!r}\n" for v in draws))
+def test_only_type1_shares_and_quadrature_load_scipy(tmp_path):
+    laws = {
+        "type1": kappadist.Type1(1.5, 1.0, 1.0, 0.3),
+        "type2": kappadist.Type2(1.5, 1.0, 0.3),
+        "type3": kappadist.Type3(1.5, 1.0, 2.0, 0.3),
+        "type4": kappadist.Type4(1.5, 1.0, 0.3),
+        "type5": kappadist.Type5(2, 1.0, 0.3),
+    }
+    fits = []
+    for family, law in laws.items():
+        data = tmp_path / f"{family}.csv"
+        data.write_text("".join(f"{float(v)!r}\n" for v in law.sample(1000, 7)))
+        fits.append(["fit", "--family", family, "--input", str(data)])
     fam = ["--beta", "1", "--kappa", "0.3"]
     type1 = ["--family", "type1", "--alpha", "1.5", "--nu", "1", *fam]
     points = ["--x", "0.5,1,2", "--what", "pdf,cdf,survival,hazard"]
     moments = ["--orders", "1,2,3"]
+    grid = ["--grid", "log:0.001:1000:50"]
     light = [
         ["--help"],
         ["eval", "--family", "type2", "--alpha", "1.5", *fam, *points],
@@ -69,20 +80,22 @@ def test_only_type1_shares_fit_and_quadrature_load_scipy(tmp_path):
         ["sample", *type1, "--count", "100", "--seed", "3"],
         ["sample", "--family", "type4", "--alpha", "1.5", *fam, "--count", "100", "--seed", "3"],
         ["sample", "--family", "type5", "--n", "3", *fam, "--count", "100", "--seed", "3"],
-        ["tail", "--input", str(data), "--fraction", "0.05"],
+        ["tail", "--input", fits[1][-1], "--fraction", "0.05"],
         ["moments", *type1, *moments],
         ["moments", "--family", "type2", "--alpha", "2.5", *fam, *moments],
         ["moments", "--family", "type3", "--alpha", "2.5", "--lam", "2", *fam, *moments],
-        ["tabulate", *type1, "--grid", "log:0.001:1000:50", "--what", "pdf"],
+        ["tabulate", *type1, *grid, "--what", "pdf"],
+        # the nu = 1 share is elementary
+        ["tabulate", *type1, *grid, "--what", "cdf"],
+        ["tabulate", *type1, *grid, "--what", "pdf,cdf,survival,hazard"],
+        *fits,
     ]
-    # the positive controls: a Type I share, fitting, then Type3 moments
+    # the positive controls: a Type I share at nu != 1, then Type3 moments
     # past lambda = 2, which still integrate
-    share = ["tabulate", *type1, "--grid", "log:0.001:1000:50", "--what", "cdf"]
-    fit = ["fit", "--family", "type2", "--input", str(data)]
+    share = ["tabulate", "--family", "type1", "--alpha", "1.5", "--nu", "1.5", *fam, *grid, "--what", "cdf"]
     quadrature = ["moments", "--family", "type3", "--alpha", "2.5", "--lam", "5", *fam, "--orders", "1"]
-    scipy_after, loaded = _run_child([*light, share, fit, quadrature])
+    scipy_after, loaded = _run_child([*light, share, quadrature])
     assert scipy_after == [[], []]  # import kappadist, then kappadist.cli
     assert loaded[: len(light)] == [[]] * len(light)
-    assert loaded[len(light)] == ["scipy.special"]
-    assert "scipy.optimize" in loaded[-2] and "scipy.integrate" not in loaded[-2]
+    assert loaded[-2] == ["scipy.special"]
     assert "scipy.integrate" in loaded[-1]

@@ -370,6 +370,28 @@ class TestKappaLogisticUpperTail:
             expect = float(e / (1 + e))
         assert d.survival(x) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("loc", [0.0, -1000.0])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.3, 0.9])
+    def test_shares_into_the_subnormals(self, kappa, loc):
+        # past E = e^709.78 the shares are 1/E, which stays a float down to
+        # 2^-1074: at kappa = 0, cdf(-720) = survival(720) = e^-720 = 2.03e-313
+        d = KappaLogistic(1.0, kappa, loc=loc)
+        x = loc + np.array([-800.0, -745.0, -740.0, -720.0, -709.0, -30.0, 0.0, 30.0, 709.0, 720.0, 740.0, 745.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf, sf = d.cdf(x), d.survival(x)
+        assert np.array_equal(cdf, [d.cdf(float(v)) for v in x])
+        for v, c, s in zip(x, cdf, sf):
+            with mpmath.workdps(50):
+                k, z = mpmath.mpf(kappa), mpmath.mpf(v) - mpmath.mpf(loc)
+                log_e = -z if kappa == 0.0 else -mpmath.asinh(k * z) / k
+                refs = float(1 / (1 + mpmath.exp(log_e))), float(1 / (1 + mpmath.exp(-log_e)))
+            for got, ref in zip((c, s), refs):
+                # relative below the normal range, then two steps of the subnormal grid
+                assert abs(got - ref) <= 1e-13 * ref + 2.0**-1073, (v, got, ref)
+        if kappa == 0.0:
+            assert d.cdf(loc - 720.0) == d.survival(loc + 720.0) == pytest.approx(2.0322e-313, rel=1e-4)
+
     def test_far_tails_underflow_without_a_warning(self):
         # the true shares, about 1e-333, are below every normal float
         d = KappaLogistic(1.0, 0.3)
