@@ -266,9 +266,12 @@ def kappa_exp_tail_exponent(kappa, sign):
     k = check_kappa(kappa)
     if k == 0.0:
         raise DomainError("no power-law tail in classical limit (kappa = 0)")
-    s = int(np.sign(sign)) if not isinstance(sign, str) else {"+": 1, "-": -1}[sign]
+    try:
+        s = {"+": 1, "-": -1}.get(sign, 0) if isinstance(sign, str) else int(np.sign(float(sign)))
+    except (TypeError, ValueError, OverflowError):  # not a number, or NaN
+        s = 0
     if s not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
+        raise DomainError(f"sign must be '+', '-' or a nonzero number, got {sign!r}")
     exponent = s / k
     return exponent, (2.0 * k) ** exponent
 
@@ -352,7 +355,7 @@ def log_mellin_kappa(r, kappa):
 
 def mellin_kappa(r, kappa):
     """Mellin transform of kappa_exp(-x): integral_0^inf x^(r-1) kappa_exp(-x) dx."""
-    return math.exp(log_mellin_kappa(r, kappa))
+    return _exp(log_mellin_kappa(r, kappa))
 
 
 def kappa_erf_prefactor(kappa):

@@ -58,6 +58,18 @@ def check_param(name, value, positive=True):
     return v
 
 
+def as_integer(value):
+    """value as an int if it is an integral real number, else None: a bool,
+    a fraction, NaN, inf and a non-number are not integers."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if isinstance(value, (bool, np.bool_)) or not v.is_integer():
+        return None
+    return int(v)
+
+
 def as_generator(rng):
     """Accept a non-negative integer seed (not a bool) or a numpy
     Generator; never global state.

@@ -33,7 +33,7 @@ from .core import (
     log_mellin_kappa,
 )
 from .errors import DomainError
-from .framework import PowerTransformed, SymmetrizedDistribution, check_param
+from .framework import PowerTransformed, SymmetrizedDistribution, as_integer, check_param
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
 
@@ -140,9 +140,10 @@ def erlang_polynomials(n, kappa):
     q_m = N (m+1) c_(m+1) for m <= n-2 and q_(n-1) = N/(1 - n^2 k^2).
     """
     k = check_kappa(kappa)
-    n = int(n)
-    if n < 1:
-        raise DomainError("order n must be a positive integer")
+    order = as_integer(n)
+    if order is None or order < 1:
+        raise DomainError(f"order n must be an integer >= 1, got {n!r}")
+    n = order
     if k > 0.0 and not n * k < 1.0:
         raise DomainError(f"requires n*kappa < 1, got n*kappa = {n * k:g}")
     for m in range(n + 1):
@@ -178,8 +179,8 @@ class KappaErlang(Type1):
     """
 
     def __init__(self, n, beta, kappa):
-        n = int(n)
         self.polynomials = erlang_polynomials(n, kappa)
+        n = self.polynomials.n
         super().__init__(alpha=1.0, beta=beta, nu=float(n), kappa=kappa)
         self.n = n
 

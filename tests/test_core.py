@@ -18,7 +18,8 @@ from kappadist import (
     log_mellin_kappa,
     mellin_kappa,
 )
-from kappadist.core import kappa_erf_prefactor, log_kappa_exp
+from conftest import mp_log_mellin_ratio, mp_xi
+from kappadist.core import _log_mellin_ratio, kappa_erf_prefactor, log_kappa_exp
 
 
 class TestKappaExp:
@@ -56,6 +57,14 @@ class TestKappaExp:
         assert e == -4.0
         with pytest.raises(DomainError):
             kappa_exp_tail_exponent(0.0, +1)
+        assert kappa_exp_tail_exponent(0.25, "-")[0] == -4.0
+        assert kappa_exp_tail_exponent(0.25, 2.5)[0] == 4.0
+
+    @pytest.mark.parametrize("sign", [0, 0.0, -0.0, math.nan, "x", "", "+1", None, [1, -1], 1j])
+    def test_tail_exponent_rejects_every_bad_sign(self, sign):
+        # "x" raised KeyError and NaN ValueError, outside the error taxonomy
+        with pytest.raises(DomainError):
+            kappa_exp_tail_exponent(0.25, sign)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -125,6 +134,11 @@ class TestMellin:
             epsrel=1e-12,
         )
         assert mellin_kappa(r, k) == pytest.approx(head + tail, rel=1e-8)
+
+    def test_past_the_largest_float_is_inf(self):
+        # Gamma(200) is past the largest float; math.exp raised OverflowError
+        assert mellin_kappa(200.0, 0.0) == math.inf
+        assert log_mellin_kappa(200.0, 0.0) == pytest.approx(math.lgamma(200.0), rel=1e-15)
 
     def test_divergence_errors(self):
         with pytest.raises(DomainError):
@@ -233,3 +247,29 @@ class TestKappaErfExact:
             kappa_erf(math.nan, 0.4)
         with pytest.raises(DomainError):
             kappa_erf(np.array([0.1, math.nan]), 0.4)
+
+
+class TestMellinRatioNegativeOrders:
+    """The Type V moments of order n <= 8 read log(M_k(r)/Gamma(r)) at
+    r = m + 1 - n down to -8, inside its window -2 - 1/k < r."""
+
+    @pytest.mark.parametrize(
+        "r, k",
+        [
+            (r, k)
+            for r in (-7.99, -7.5, -7.0, -6.3, -5.0, -4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -0.5)
+            for k in (1e-8, 1e-5, 1e-3, 0.05, 0.1, 0.14, 0.16, 0.2, 0.3, 0.45, 0.9)
+            if r > -2.0 - 1.0 / k
+        ],
+    )
+    def test_against_mpmath(self, r, k):
+        expect = float(mp_log_mellin_ratio(r, k))
+        assert _log_mellin_ratio(r, k) == pytest.approx(expect, rel=0.0, abs=1e-14 * max(1.0, abs(expect)))
+
+    @pytest.mark.parametrize("k", [1e-3, 0.05, 0.1, 0.16])
+    @pytest.mark.parametrize("j", range(9))
+    def test_integer_orders_are_the_taylor_coefficients(self, j, k):
+        # M_k(-j)/Gamma(-j) = xi(j), the coefficient of x^j/j! in exp_k(x),
+        # positive for k < 1/(j - 2)
+        expect = float(mpmath.log(mp_xi(j, k)))
+        assert _log_mellin_ratio(-float(j), k) == pytest.approx(expect, rel=0.0, abs=1e-14 * max(1.0, abs(expect)))

@@ -18,6 +18,8 @@ from kappadist import (
     Type3,
     Type4,
     Type5,
+    UnsupportedOrderError,
+    erlang_polynomials,
     kappa_exp,
 )
 
@@ -98,6 +100,32 @@ def test_nan_x_gives_nan(d):
 def test_non_finite_parameters_are_rejected(make, value):
     with pytest.raises(DomainError):
         make(value)
+
+
+ORDER_MAKERS = {
+    "Type5": (lambda n: Type5(n, 1.0, 0.1), UnsupportedOrderError),
+    "KappaErlang": (lambda n: KappaErlang(n, 1.0, 0.1), DomainError),
+    "erlang_polynomials": (lambda n: erlang_polynomials(n, 0.1), DomainError),
+}
+
+
+@pytest.mark.parametrize("maker", sorted(ORDER_MAKERS))
+@pytest.mark.parametrize(
+    "n", [2.5, 1.0 + 2.0**-52, True, False, np.True_, math.nan, math.inf, -math.inf, 0, -2, None, "x", [2]], ids=repr
+)
+def test_orders_that_are_not_positive_integers_are_rejected(maker, n):
+    # int(n) used to truncate 2.5 to 2, build order 1 from True and raise
+    # ValueError at NaN and OverflowError at inf
+    make, error = ORDER_MAKERS[maker]
+    with pytest.raises(error):
+        make(n)
+
+
+@pytest.mark.parametrize("maker", sorted(ORDER_MAKERS))
+@pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0)], ids=repr)
+def test_integral_orders_are_accepted(maker, n):
+    got = ORDER_MAKERS[maker][0](n).n
+    assert got == 3 and type(got) is int
 
 
 def test_kappa_exp_overflows_to_inf_without_a_warning():

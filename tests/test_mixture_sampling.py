@@ -27,6 +27,7 @@ from kappadist import (
     Type5,
     as_generator,
 )
+from conftest import TYPE5_HIGH_ORDERS, mp_type5_ladder
 from kappadist.core import _gamma_share_log_draw, _log_gamma_draw
 
 N = 20000
@@ -140,6 +141,7 @@ EVERY_FAMILY = [
     *(Type3(alpha, 1.3, lam, k) for alpha, lam in ((1.5, 2.0), (-1.5, 0.5)) for k in (0.0, 0.3, 0.9)),
     *(Type4(alpha, 1.3, k) for alpha in (1.5, 0.2) for k in (0.3, 0.9)),
     *(Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)),
+    *(Type5(n, 1.3, k) for n, k in TYPE5_HIGH_ORDERS),
     *(KappaErlang(n, 1.3, k) for n in (1, 3) for k in (0.0, 0.3)),
     *(KappaNormal(1.3, k) for k in (0.0, 0.9)),
     *(KappaLogistic(1.3, k) for k in (0.0, 0.9)),
@@ -161,8 +163,9 @@ def test_no_family_samples_through_the_solver(d, monkeypatch):
 TYPE5_KAPPAS = (0.0, 1e-3, 0.3, 0.9, 0.99)
 
 
-@pytest.mark.parametrize("k", TYPE5_KAPPAS)
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (1, 2, 3) for k in TYPE5_KAPPAS] + [(n, k) for n, k in TYPE5_HIGH_ORDERS if k > 1e-3]
+)
 def test_type5_two_sample_ks_against_inverse_transform(n, k):
     d = Type5(n, 1.3, k)
     draws = d.sample(N, 31)
@@ -203,21 +206,24 @@ BOUND_KAPPAS = (1e-8, 1e-3, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0
 
 
 def _mp_rho_max(n, k):
-    """30-digit maximum of rho_n over [0, 1), at the root of rho_n' there."""
-    with mpmath.workdps(30):
-        k = mpmath.mpf(k)
-        if n == 1:
-            return mpmath.mpf(1)
-        if n == 2:
-            t = (mpmath.sqrt(1 + 8 * k * k) - 1) / (4 * k)
-            return (1 + k * t) * mpmath.sqrt(1 - t * t)
-        roots = mpmath.polyroots([12 * k * k, 9 * k, 2 - 8 * k * k, -3 * k], maxsteps=200, extraprec=60)
+    """40-digit maximum of rho_n = (1 - t^2)^((n-1)/2) P_(n+1)(t)/P_n(0) over
+    [0, 1), at the root there of (1 - t^2) P' - (n - 1) t P, P = P_(n+1)."""
+    if n == 1:
+        return mpmath.mpf(1)
+    ladder = mp_type5_ladder(n + 1, k)
+    with mpmath.workdps(40):
+        p = ladder[n] + [0, 0]
+        f = [p[1]] + [(i + 1) * p[i + 1] - (n + i - 2) * p[i - 1] for i in range(1, n + 1)]
+        roots = mpmath.polyroots(f[::-1], maxsteps=400, extraprec=120)
         t = max(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-25 and 0 < mpmath.re(r) < 1)
-        return (1 - k * k + 3 * k * t * (1 + k * t)) * (1 - t * t)
+        return (1 - t * t) ** (mpmath.mpf(n - 1) / 2) * mpmath.polyval(ladder[n][::-1], t) / ladder[n - 1][0]
 
 
-@pytest.mark.parametrize("k", BOUND_KAPPAS)
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in (1, 2, 3) for k in BOUND_KAPPAS]
+    + [(n, f / (n - 2)) for n in range(4, 9) for f in (1e-8, 0.1, 0.5, 0.9, 0.99, 0.999)],
+)
 def test_type5_rejection_bound(n, k):
     d = Type5(n, 1.0, k)
     t = np.linspace(0.0, 1.0, 10**6, endpoint=False)

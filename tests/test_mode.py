@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kappadist
+from conftest import TYPE5_HIGH_ORDERS, mp_type5_ladder
 from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5, oracle
 
 ALPHAS = (0.2, 0.5, 1.0, 2.5, -0.2, -0.5, -1.0, -2.5)
@@ -32,15 +33,15 @@ def _grid_objects():
                 out.append(Type4(a, 1.0, k))
         out += [KappaErlang(n, 1.0, k) for n in (1, 2) if n * k < 1.0]
         out += [Type5(n, 1.0, k) for n in (1, 2, 3)]
-    return out
+    return out + [Type5(n, 1.0, k) for n, k in TYPE5_HIGH_ORDERS]
 
 
 GRID_OBJECTS = _grid_objects()
 
 
 def test_grid_covers_every_family():
-    # Type1 80, KappaErlang 6, Type2 32, Type3 160, Type4 12, Type5 12
-    assert len(GRID_OBJECTS) == 302
+    # Type1 80, KappaErlang 6, Type2 32, Type3 160, Type4 12, Type5 12 + 20
+    assert len(GRID_OBJECTS) == 322
 
 
 @pytest.mark.parametrize("d", GRID_OBJECTS, ids=repr)
@@ -69,17 +70,17 @@ def _mp_log_pdf(d):
     """log pdf(e^t) up to a constant, as a function of t at mpmath precision,
     from each family's printed density: |alpha| y pdf_Y(y)/x with y = beta
     x^alpha for the power-transformed families, and beta S_(n+1)(beta x)
-    for Type V."""
+    for Type V, with the ladder polynomial P_(n+1)."""
     mp = mpmath
     if isinstance(d, Type5):
         b, k = mp.mpf(d.beta), mp.mpf(d.kappa)
+        p = mp_type5_ladder(d.n + 1, d.kappa)[d.n][::-1]
 
         def log_pdf(t):
             u = k * b * mp.exp(t)
             log_e = -b * mp.exp(t) if k == 0 else -mp.asinh(u) / k
             tau = u / mp.sqrt(1 + u * u)
-            p = [1, 1 + k * tau, 1 - k * k + 3 * k * tau * (1 + k * tau)][d.n - 1]
-            return log_e - mp.mpf(d.n) / 2 * mp.log(1 + u * u) + mp.log(p)
+            return log_e - mp.mpf(d.n) / 2 * mp.log(1 + u * u) + mp.log(mp.polyval(p, tau))
 
         return log_pdf
     a, b, k = (mp.mpf(v) for v in (d.alpha, d.beta, d.kappa))

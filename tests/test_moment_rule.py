@@ -12,6 +12,7 @@ import math
 import pytest
 
 import kappadist
+from conftest import TYPE5_HIGH_ORDERS
 from kappadist import (
     Distribution,
     DomainError,
@@ -47,6 +48,7 @@ class TestNegativeOrders:
     @pytest.mark.parametrize(
         "d",
         [Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.6)]
+        + [Type5(n, 1.3, k) for n, k in TYPE5_HIGH_ORDERS]
         + [Type4(a, 1.3, k) for a in (0.7, 1.0, 2.5) for k in (0.3, 0.5, 0.9) if a / k > 1.0],
         ids=repr,
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kappadist
-from conftest import integrate_pdf
+from conftest import TYPE5_HIGH_ORDERS, integrate_pdf, mp_xi
 from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5
 from kappadist.framework import PowerTransformed
 
@@ -155,15 +155,17 @@ def test_every_half_line_family_is_power_transformed():
     assert "_logpdf_at_origin" not in vars(Distribution)
 
 
-TYPE5 = [Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)]
+TYPE5 = [Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)] + [
+    Type5(n, 1.3, k) for n, k in TYPE5_HIGH_ORDERS
+]
 
 
 @pytest.mark.parametrize("d", TYPE5, ids=repr)
 def test_type5_end_powers(d):
-    # pdf(0) = beta P_(n+1)(0), finite, and pdf ~ x^-(n + 1/kappa) in the tail
+    # pdf(0) = beta P_(n+1)(0)/P_n(0), finite, and pdf ~ x^-(n + 1/kappa) in the tail
     assert d._pdf_singular_power() == 0.0
     k = d.kappa
-    p0 = (1.0 - k) * (1.0 + k) if d.n == 3 else 1.0
+    p0 = float(mp_xi(d.n, k) / mp_xi(d.n - 1, k))
     assert d.pdf(0.0) == pytest.approx(1.3 * p0, rel=1e-15)
     assert d.logpdf(0.0) == pytest.approx(math.log(1.3 * p0), rel=1e-15)
     if k == 0.0:

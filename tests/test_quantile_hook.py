@@ -70,8 +70,9 @@ def _half_line_families():
             yield Type3(a, 1.3, 2.0, k)
             if a > 0.0 and k > 0.0:
                 yield Type4(a, 1.3, k)
-        for n in (1, 2, 3):
-            yield Type5(n, 1.3, k)
+        for n in range(1, 9):
+            if n < 4 or k * (n - 2) < 1.0:  # inside the order's window
+                yield Type5(n, 1.3, k)
         if k < 0.5:
             yield KappaErlang(2, 1.3, k)
 

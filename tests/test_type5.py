@@ -13,7 +13,7 @@ from kappadist import (
     VarianceDivergesError,
     oracle,
 )
-from conftest import integrate_pdf, ks_statistic, mp_log_mellin_ratio
+from conftest import TYPE5_HIGH_ORDERS, integrate_pdf, ks_statistic, mp_log_mellin_ratio, mp_xi
 
 GRID = [
     (1, 1.0, 0.3),
@@ -21,14 +21,21 @@ GRID = [
     (3, 0.8, 0.25),
     (2, 1.0, 0.0),
     (3, 2.0, 0.6),
+    (4, 1.2, 0.45),
+    (6, 0.9, 0.22),
+    (8, 0.7, 0.16),
 ]
 
 
 class TestValidation:
     def test_supported_orders(self):
-        for n in (0, 4, -1):
+        for n in (0, -1):
             with pytest.raises(UnsupportedOrderError):
                 Type5(n, 1.0, 0.3)
+        # n = 4 needs kappa < 1/2; n = 9 is past the implemented orders
+        for n, k in ((4, 0.5), (9, 0.01)):
+            with pytest.raises(UnsupportedOrderError):
+                Type5(n, 1.0, k)
         with pytest.raises(DomainError):
             Type5(2, -1.0, 0.3)
 
@@ -284,3 +291,103 @@ class TestNearKappaEdges:
         d = Type5(n, 1e-300, 1e-320)
         assert d.hazard(math.inf) == 0.0
         assert d.hazard(1e300) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+
+
+class TestHigherOrders:
+    """Orders 4 to 8 inside their windows kappa < 1/(n - 2), against mpmath
+    derivatives of the generatrix g = exp_k(-z): S_n = g^(n-1)(z)/g^(n-1)(0)
+    and pdf_n = -beta g^(n)(z)/g^(n-1)(0)."""
+
+    @pytest.mark.parametrize("n, k", TYPE5_HIGH_ORDERS)
+    def test_survival_and_pdf_against_mpmath(self, n, k):
+        b = 1.3
+        d = Type5(n, b, k)
+        x = np.array([0.0, 1e-6, 0.1, 1.0, 5.0, 30.0, 1e3])
+        survival, cdf, pdf = d.survival(x), d.cdf(x), d.pdf(x)
+        # near the origin the cdf -expm1(log S) sums log S ~ -beta x P_(n+1)(0)/P_n(0)
+        # from terms of size beta x, so it keeps eps P_n(0)/P_(n+1)(0) relative
+        cdf_rel = 1e-13 + 16.0 * np.finfo(float).eps * float(mp_xi(n - 1, k) / mp_xi(n, k))
+        with mpmath.workdps(60):
+            g0 = _mp_generatrix_derivative(k, 0, n - 1)
+            for i, xi in enumerate(x):
+                expect_s = _mp_generatrix_derivative(k, b * xi, n - 1) / g0
+                expect_p = -b * _mp_generatrix_derivative(k, b * xi, n) / g0
+                assert survival[i] == pytest.approx(float(expect_s), rel=1e-13, abs=0.0), xi
+                assert pdf[i] == pytest.approx(float(expect_p), rel=1e-13, abs=0.0), xi
+                assert cdf[i] == pytest.approx(float(1 - expect_s), rel=cdf_rel, abs=0.0), xi
+
+    def test_window_edges(self):
+        for n in range(4, 9):
+            edge = 1.0 / (n - 2)
+            assert Type5(n, 1.0, edge * (1.0 - 1e-12)).pdf(0.0) > 0.0
+            for k in (edge * (1.0 + 1e-12), 0.99):
+                with pytest.raises(UnsupportedOrderError, match=r"kappa < 1/\(n - 2\)"):
+                    Type5(n, 1.0, k)
+        for n, edge in ((4, 0.5), (6, 0.25)):  # exact in binary: P_(n+1)(0) = 0
+            with pytest.raises(UnsupportedOrderError):
+                Type5(n, 1.0, edge)
+        assert Type5(8, 1.0, 0.0).pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("n, k", TYPE5_HIGH_ORDERS)
+    def test_moments_against_quadrature(self, n, k):
+        b = 1.3
+        d = Type5(n, b, k)
+        for m in (0.5, 1.0, 2.0, 2.5):
+            assert d.raw_moment(m) == pytest.approx(d._moment_by_quadrature(m), rel=1e-8), m
+
+    @pytest.mark.parametrize("n, k", TYPE5_HIGH_ORDERS)
+    def test_integer_moments(self, n, k):
+        # <x^m> = m! xi(n-1-m)/(xi(n-1) beta^m) for m <= n - 1: P_n(0) = xi(n-1)
+        # is the constant the moments of the orders n <= 3 never needed
+        b = 1.3
+        d = Type5(n, b, k)
+        for m in range(n):
+            expect = math.factorial(m) * mp_xi(n - 1 - m, k) / mp_xi(n - 1, k) / mpmath.mpf(b) ** m
+            assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-13), m
+
+    @pytest.mark.parametrize("n, k", TYPE5_HIGH_ORDERS)
+    def test_moments_against_mpmath(self, n, k):
+        b = 1.3
+        d = Type5(n, b, k)
+        for m in _moment_orders(n, k):
+            with mpmath.workdps(40):
+                expect = mpmath.exp(
+                    mpmath.loggamma(1 + mpmath.mpf(m))
+                    - m * mpmath.log(b)
+                    + mp_log_mellin_ratio(m + 1 - n, k)
+                    - mpmath.log(mp_xi(n - 1, k))
+                )
+            assert d.raw_moment(m) == pytest.approx(float(expect), rel=1e-12), m
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, f / (n - 2)) for n in range(4, 9) for f in ((n - 2) / (n - 1) * (1.0 + 1e-6), 0.98, 0.9999)]
+    )
+    def test_mode_against_mpmath(self, n, k):
+        # past kappa = 1/(n - 1), P_(n+2)(0) = xi(n + 1) < 0: the density rises
+        # from the origin and peaks where g^(n+1) vanishes
+        b = 1.3
+        res = Type5(n, b, k).mode()
+        assert res.kind == "interior"
+        with mpmath.workdps(60):
+            root = mpmath.findroot(lambda z: _mp_generatrix_derivative(k, z, n + 1), mpmath.mpf(b * res.x))
+        assert res.x == pytest.approx(float(root / b), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_monotone_below_the_modes_turn(self, n):
+        d = Type5(n, 1.3, 0.999 / (n - 1))
+        res = d.mode()
+        assert res.kind == "monotone"
+        assert res.pdf_at_origin == pytest.approx(1.3 * float(mp_xi(n, d.kappa) / mp_xi(n - 1, d.kappa)), rel=1e-14)
+
+    @pytest.mark.parametrize("n, k", [(n, f / (n - 2)) for n in range(4, 9) for f in (0.5, 0.9999)])
+    def test_sampling_ks(self, n, k):
+        d = Type5(n, 1.0, k)
+        draws = d.sample(20000, 17)
+        assert ks_statistic(draws, d.cdf) < 1.63 / math.sqrt(20000)
+
+    @pytest.mark.parametrize("n, k", [(5, 0.3), (8, 0.16)])
+    def test_hazard_is_pdf_over_survival(self, n, k):
+        d = Type5(n, 1.3, k)
+        x = np.array([0.0, 0.01, 0.5, 3.0, 40.0])
+        np.testing.assert_allclose(d.hazard(x), d.pdf(x) / d.survival(x), rtol=1e-14)
+        assert d.hazard(1e300) == pytest.approx((n - 1.0 + 1.0 / k) / 1e300, rel=1e-15, abs=0.0)
