@@ -13,6 +13,7 @@ taken in a Stirling form whose terms are all of order r, so it keeps its
 relative precision for every kappa > 0, however small.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -76,6 +77,16 @@ def _log_kexp_neg(y, k):
     return u
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use, so that only the values that need
+    it (the Type I shares at nu != 1 and kappa_erf at kappa = 0) pay for
+    loading it."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _gamma_share(y, nu, k, upper):
     """Share of the law y^(nu-1) kappa_exp(-y)/M_k(nu) above y (upper) or below it.
 
@@ -88,10 +99,16 @@ def _gamma_share(y, nu, k, upper):
     1 - s = 2 u r exact, and the upper one its complement, so each side
     keeps its relative precision in its own tail (at small k the law of s
     sits close to 1, and a split at s = 1/2 left the upper tail to a
-    complement).  Past u = 2^500, where s underflows, the
-    leading term s^a/(a B(a, nu)) of I_s(a, nu) is exact and is taken with
-    log s = -2 arcsinh(u).  Below KAPPA_SWITCH the classical regularized
-    Gamma shares are used.
+    complement).  Each side takes one incomplete Beta function: with
+    L = s^a (1-s)^nu/(a B(a, nu)), DLMF 8.17.20 gives I_s(a+1, nu) =
+    I_s(a, nu) - L and I_(1-s)(nu, a+1) = I_(1-s)(nu, a) + L, so the upper
+    share is I_s(a, nu) - w2 L and the lower one I_(1-s)(nu, a) + w2 L.  L
+    is taken from log s = 2 log r and log(1 - s) = log(2 u r); the lower
+    share is a sum of positive terms, and since I_s(a+1, nu) >= 0 and
+    w2 < 1/2 the upper one loses at most one bit to the subtraction.  Past
+    u = 2^500, where s underflows, the leading term s^a/(a B(a, nu)) of
+    I_s(a, nu) is exact and is taken with log s = -2 arcsinh(u).  Below
+    KAPPA_SWITCH the classical regularized Gamma shares are used.
 
     At nu = 1 both Beta terms are powers, I_s(a, 1) = s^a, and the upper
     share is kappa_exp(-y) (sqrt(1 + u^2) + k u), taken for every k as
@@ -100,35 +117,40 @@ def _gamma_share(y, nu, k, upper):
     """
     if nu == 1.0:
         return _exp_share(y, k, upper)
-    # imported here, so only the Type I shares pay for loading scipy.special
-    from scipy.special import betainc, betaln, gammainc, gammaincc
-
+    sp = _special()
     if k < KAPPA_SWITCH:
-        return gammaincc(nu, y) if upper else gammainc(nu, y)
+        return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
     u = np.atleast_1d(k * y)
-    with np.errstate(over="ignore"):
-        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
-    s = np.square(r)
     a = 0.5 / k - 0.5 * nu
     w1 = (a + nu) / (2.0 * a + nu)
-    w2 = a / (2.0 * a + nu)
+    log_beta = sp.betaln(a, nu)
+    # log(1 - s) is -inf at y = 0, and NaN at y = inf, a deep-tail point
+    # that is replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
+        one_s = 2.0 * u * r
+        # w2 L = s^a (1-s)^nu/((2a + nu) B(a, nu)), w2 = a/(2a + nu)
+        w2_l = np.log(one_s)
+        w2_l *= nu
+        w2_l += 2.0 * a * np.log(r)
+        w2_l -= math.log(2.0 * a + nu) + log_beta
+        np.exp(w2_l, out=w2_l)
+    s = np.square(r)
     near = s > a / (a + nu)
     n_near = np.count_nonzero(near)
     out = np.empty_like(s)
     if n_near < s.size:
         far = ~near
-        sf = s[far]
-        up = w1 * betainc(a, nu, sf) + w2 * betainc(a + 1.0, nu, sf)
+        up = sp.betainc(a, nu, s[far]) - w2_l[far]
         out[far] = up if upper else 1.0 - up
     if n_near:
-        sc = 2.0 * u[near] * r[near]
-        low = w1 * betainc(nu, a, sc) + w2 * betainc(nu, a + 1.0, sc)
+        low = sp.betainc(nu, a, one_s[near]) + w2_l[near]
         out[near] = 1.0 - low if upper else low
     deep = u > _DEEP_TAIL
     if np.count_nonzero(deep):
         # replaces the underflowed far values; the w2 term is O(s) smaller
         log_s = -2.0 * np.arcsinh(u[deep])
-        up = w1 * np.exp(a * log_s - math.log(a) - betaln(a, nu))
+        up = w1 * np.exp(a * log_s - math.log(a) - log_beta)
         out[deep] = up if upper else 1.0 - up
     return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
 
@@ -380,9 +402,7 @@ def kappa_erf(x, kappa):
     if np.isnan(x).any():
         raise DomainError("kappa_erf requires a non-NaN argument")
     if k == 0.0:
-        from scipy.special import erf
-
-        return _maybe_item(erf(x))
+        return _maybe_item(_special().erf(x))
     with np.errstate(over="ignore"):
         share = _gamma_share(x * x, 0.5, k, upper=False)
     # below |x| = 2^-500, x^2 loses digits while the O(x^3) term is < eps

@@ -20,7 +20,9 @@ from .errors import (
     DomainError,
     FitNonConvergenceError,
     InsufficientTailPointsError,
+    UnsupportedOrderError,
 )
+from .framework import as_integer
 from .type1 import Type1
 from .type2 import Type2
 from .type3 import Type3
@@ -240,7 +242,11 @@ def fit_mle(family, sample, init=None, fix_kappa=None):
     start = _default_init(family, sample)
     if init:
         start.update(init)
-    fixed = {"n": int(start["n"])} if "n" in names else {}
+    fixed = {}
+    if "n" in names:
+        fixed["n"] = as_integer(start["n"])
+        if fixed["n"] is None:
+            raise UnsupportedOrderError(f"the order n must be an integer, got n = {start['n']!r}")
 
     def build(theta):
         params = dict(fixed)

@@ -4,13 +4,15 @@ A Distribution exposes pdf/logpdf/cdf/survival/hazard/quantile/
 raw_moment/descriptive_stats/mode/sample.  The public evaluation methods
 take a scalar or an array, convert it once and hand an array to the
 family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
-a 0-d result comes back as a Python float.  Families override what they
-have in closed form; the base class supplies the missing one of each
-pair, quadrature moments, log-space Newton quantiles, inverse-transform
-draws (_draw) and the half-line -> real-line symmetrizer.  Only the
-families with a closed quantile draw by inverse transform: the Type I
-law draws from its Beta mixture and Type V by rejection, so no draw runs
-the solver.
+a 0-d result comes back as a Python float.  pdf, logpdf, cdf, survival
+and hazard hand an array of more than _BLOCK points over in blocks of
+_BLOCK, so the working set of a call does not grow with the array.
+Families override what they have in closed form; the base class supplies
+the missing one of each pair, quadrature moments, log-space Newton
+quantiles, inverse-transform draws (_draw) and the half-line -> real-line
+symmetrizer.  Only the families with a closed quantile draw by inverse
+transform: the Type I law draws from its Beta mixture and Type V by
+rejection, so no draw runs the solver.
 The density's powers at its two ends decide a pole of the mode, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
@@ -47,6 +49,10 @@ _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
 _EDGE = 8.0 * float(np.finfo(float).eps)  # rounding of a moment bound from the end powers
 _LOG_Y_END = 709.0  # the mode's bracket grows out to this |log y|, where y and 1/y are finite
+# points per private-method call: a longer array is evaluated in blocks of this
+# size, whose temporaries the allocator reuses from block to block rather than
+# returning them to the system and faulting them in again on the next call
+_BLOCK = 16384
 
 
 def check_param(name, value, positive=True):
@@ -144,13 +150,26 @@ class Distribution:
         """fn (a private array method) at x, as a float for a 0-d x.
 
         Left of a half-line support the value is `below`, and fn is not
-        called there; a NaN x reaches fn, which returns NaN.
+        called there; a NaN x reaches fn, which returns NaN.  An x of more
+        than _BLOCK points is taken in flat blocks of _BLOCK, each written
+        into one output of x's shape, so a call's temporaries stay the same
+        size however long x is; fn is elementwise, so the values are those
+        of one call on the whole of x.
         """
         if isinstance(x, float):  # also numpy's float64: a scalar needs no array test
             if x < 0.0 and not self.support_real_line:
                 return below
             return _maybe_item(fn(np.asarray(x)))
         x = np.asarray(x, dtype=float)
+        if x.size <= _BLOCK:
+            return _maybe_item(self._on_block(fn, x, below))
+        flat, out = x.reshape(-1), np.empty(x.size)
+        for i in range(0, x.size, _BLOCK):
+            out[i : i + _BLOCK] = self._on_block(fn, flat[i : i + _BLOCK], below)
+        return out.reshape(x.shape)
+
+    def _on_block(self, fn, x, below):
+        """fn at an array x, `below` left of a half-line support."""
         if not self.support_real_line:
             left = x < 0.0
             if np.count_nonzero(left):
@@ -158,8 +177,8 @@ class Distribution:
                 rest = ~left
                 if np.count_nonzero(rest):
                     out[rest] = fn(x[rest])
-                return _maybe_item(out)
-        return _maybe_item(fn(x))
+                return out
+        return fn(x)
 
     def _hazard(self, x):
         """pdf/survival, from log pdf where the pdf underflows first (far out

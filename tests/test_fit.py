@@ -10,6 +10,8 @@ from kappadist import (
     InsufficientTailPointsError,
     Sample,
     Type2,
+    Type5,
+    UnsupportedOrderError,
     fit_mle,
     tail_index,
 )
@@ -120,6 +122,24 @@ class TestFitMle:
         assert res.log_likelihood > float(
             np.sum(Type1(*true_params).logpdf(data.values))
         ) - 10.0
+
+
+class TestFitOrder:
+    """Type V's order is fixed, not fitted: it is checked as Type5 checks it."""
+
+    DATA = Sample(Type5(2, 1.0, 0.3).sample(500, 3))
+
+    @pytest.mark.parametrize("n", [2.5, True, math.nan])
+    def test_non_integer_order_raises(self, n):
+        with pytest.raises(UnsupportedOrderError):
+            Type5(n, 1.0, 0.3)
+        with pytest.raises(UnsupportedOrderError):
+            fit_mle("type5", self.DATA, init={"n": n})
+
+    @pytest.mark.parametrize("n", [2, 2.0])
+    def test_integral_order_fits(self, n):
+        res = fit_mle("type5", self.DATA, init={"n": n})
+        assert res.params["n"] == 2 and type(res.params["n"]) is int
 
 
 class TestTailIndex:
