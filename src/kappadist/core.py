@@ -28,6 +28,12 @@ KAPPA_SWITCH = 1e-4
 # overflows soon after): the leading incomplete-Beta term is exact there.
 _DEEP_TAIL = 2.0**500
 
+# Integral orders up to this take the Type I share as a finite sum; past it
+# its lower share loses over 10 bits and costs more than one betainc.
+_SUM_ORDERS = 8
+_SUM_CLAMP = 2.0**16  # past x = y r = 2^16 s^a < exp(16 - 2^16) underflows, also times x^7
+_LOWER_TAIL = 2.0**-10  # below it the sum's lower share would lose over 10 bits
+
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _LOG_FLOAT_MAX = math.log(float(np.finfo(float).max))
@@ -49,6 +55,21 @@ def _maybe_item(a):
 def _exp(v):
     """e^v for a float v, inf past the largest float, where math.exp raises."""
     return math.exp(v) if v <= _LOG_FLOAT_MAX else math.inf
+
+
+def _one_minus(c, k):
+    """1 - c k for an integer c from the exact c k = c k_hi + c k_lo (Veltkamp's split)."""
+    hi = 134217729.0 * k - (134217729.0 * k - k)
+    return (1.0 - c * hi) - c * (k - hi)
+
+
+def _rise(c, t):
+    """P(t) - P(0) = t (c[1] + c[2] t + ...) by Horner's rule, in place after the first product."""
+    out = 0.0 if len(c) == 1 else t * c[-1]
+    for ci in c[-2:0:-1]:
+        out += ci
+        out *= t
+    return out
 
 
 def _log_kexp_neg(y, k):
@@ -80,8 +101,8 @@ def _log_kexp_neg(y, k):
 @functools.cache
 def _special():
     """scipy.special, imported on first use, so that only the values that need
-    it (the Type I shares at nu != 1 and kappa_erf at kappa = 0) pay for
-    loading it."""
+    it (the Type I shares at non-integral nu, and the lower one near the origin
+    at integral nu >= 2, and kappa_erf at kappa = 0) pay for loading it."""
     import scipy.special
 
     return scipy.special
@@ -93,30 +114,81 @@ def _gamma_share(y, nu, k, upper):
     With u = k y, r = 1/(u + sqrt(1 + u^2)) and s = r^2 the change of
     variables behind the Mellin closed form gives the upper share
     w1 I_s(a, nu) + w2 I_s(a+1, nu), a = 1/(2k) - nu/2,
-    w1 = (a+nu)/(2a+nu), w2 = a/(2a+nu).  Below the mean a/(a + nu) of
-    the Beta(a, nu) law of s the lower share is its complement; above it
-    the lower share is w1 I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with
-    1 - s = 2 u r exact, and the upper one its complement, so each side
-    keeps its relative precision in its own tail (at small k the law of s
-    sits close to 1, and a split at s = 1/2 left the upper tail to a
-    complement).  Each side takes one incomplete Beta function: with
-    L = s^a (1-s)^nu/(a B(a, nu)), DLMF 8.17.20 gives I_s(a+1, nu) =
-    I_s(a, nu) - L and I_(1-s)(nu, a+1) = I_(1-s)(nu, a) + L, so the upper
-    share is I_s(a, nu) - w2 L and the lower one I_(1-s)(nu, a) + w2 L.  L
-    is taken from log s = 2 log r and log(1 - s) = log(2 u r); the lower
-    share is a sum of positive terms, and since I_s(a+1, nu) >= 0 and
-    w2 < 1/2 the upper one loses at most one bit to the subtraction.  Past
-    u = 2^500, where s underflows, the leading term s^a/(a B(a, nu)) of
-    I_s(a, nu) is exact and is taken with log s = -2 arcsinh(u).  Below
-    KAPPA_SWITCH the classical regularized Gamma shares are used.
-
-    At nu = 1 both Beta terms are powers, I_s(a, 1) = s^a, and the upper
-    share is kappa_exp(-y) (sqrt(1 + u^2) + k u), taken for every k as
-    log S = -w (1 - k)/k + log1p((1 - k)/2 expm1(-2w)), w = arcsinh(u),
-    two terms of one sign.
+    w1 = (a+nu)/(2a+nu) = (1 + nu k)/2, w2 = a/(2a+nu) = (1 - nu k)/2.
+    At an integral nu = n up to _SUM_ORDERS, I_s(b, n) = s^b sum_(j<n)
+    (b)_j (1-s)^j/j! (DLMF 8.17(iv)) makes it a finite sum of positive terms:
+    with w = arcsinh(u), x = y r and P_j = prod_(i<=j) (1 + (2i - 2 - n) k)/i,
+    each 1 + c k from the exact c k, log S = -(1 - n k) w/k + log1p(R +
+    expm1(-2w) W), R = sum_(1<=j<n) (1 + j k) P_j x^j, W = sum_(j<n) (j + 1)
+    P_(j+1) x^j/2.  No term divides by k: at k = 0 it is the Erlang share
+    e^-y sum y^j/j!, and below the smallest normal k, s^a is e^-y and
+    expm1(-2w) W is below rounding.  At n = 1 R = 0 and W = w2, and the lower
+    share -expm1(log S) is exact; at n >= 2 it cancels, and below _LOWER_TAIL
+    it is _beta_share's, as is every share at any other nu.
     """
-    if nu == 1.0:
-        return _exp_share(y, k, upper)
+    if nu > _SUM_ORDERS or not nu.is_integer():
+        return _beta_share(y, nu, k, upper)
+    n = int(nu)
+    shape, y = np.shape(y), np.atleast_1d(y)
+    m = 1.0 - k
+    if n > 1:
+        p = [1.0]  # P_j; P_(j+1) = P_j (1 + (2j - n) k)/(j + 1)
+        for j in range(n):
+            p.append(p[-1] * _one_minus(n - 2 * j, k) / (j + 1))
+        m, r_coef = p[1], [_one_minus(-j, k) * p[j] for j in range(n)]
+        w_coef = [0.5 * (j + 1) * p[j + 1] for j in range(n)]
+    if k < _TINY:
+        log_s = -y if n == 1 else np.log1p(_rise(r_coef, np.fmin(y, _SUM_CLAMP))) - y
+    else:
+        # in place, as in _log_kexp_neg
+        log_s = k * y
+        np.arcsinh(log_s, out=log_s)
+        tail = np.multiply(log_s, -2.0)
+        np.expm1(tail, out=tail)
+        # as in _log_kexp_neg: below u = 2^-26, and where u underflows,
+        # arcsinh(u)/k is y to rounding
+        small = k * y < 2.0**-26
+        if n == 1:
+            tail *= 0.5 * m
+        else:
+            # x = (1 - s)/2k, to within 2^-53 also where u underflows
+            x = np.fmin(tail * (-0.5 / k), _SUM_CLAMP)
+            tail *= _rise(w_coef, x) + w_coef[0]
+            tail += _rise(r_coef, x)
+        with np.errstate(over="ignore"):
+            log_s /= k
+        if np.count_nonzero(small):
+            log_s[small] = y[small]
+        log_s *= -m
+        log_s += np.log1p(tail, out=tail)
+    if upper:
+        return np.exp(log_s, out=log_s).reshape(shape)
+    out = np.negative(np.expm1(log_s, out=log_s), out=log_s)
+    if n > 1:
+        near = out < _LOWER_TAIL
+        if np.count_nonzero(near):
+            out[near] = _beta_share(y[near], nu, k, False)
+    return out.reshape(shape)
+
+
+def _beta_share(y, nu, k, upper):
+    """_gamma_share from one incomplete Beta function per point.
+
+    Below the mean a/(a + nu) of the Beta(a, nu) law of s the lower share is
+    the complement of the upper one; above it the lower share is w1
+    I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with 1 - s = 2 u r exact, and the
+    upper one its complement, so each side keeps its relative precision in
+    its own tail.  Each side takes one incomplete Beta function: with L =
+    s^a (1-s)^nu/(a B(a, nu)), DLMF 8.17.20 gives I_s(a+1, nu) = I_s(a, nu)
+    - L and I_(1-s)(nu, a+1) = I_(1-s)(nu, a) + L, so the upper share is
+    I_s(a, nu) - w2 L and the lower one I_(1-s)(nu, a) + w2 L.  L is taken
+    from log s = 2 log r and log(1 - s) = log(2 u r); the lower share is a
+    sum of positive terms, and since I_s(a+1, nu) >= 0 and w2 < 1/2 the
+    upper one loses at most one bit to the subtraction.  Past u = 2^500,
+    where s underflows, the leading term s^a/(a B(a, nu)) of I_s(a, nu) is
+    exact and is taken with log s = -2 arcsinh(u).  Below KAPPA_SWITCH the
+    classical regularized Gamma shares are used.
+    """
     sp = _special()
     if k < KAPPA_SWITCH:
         return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
@@ -153,32 +225,6 @@ def _gamma_share(y, nu, k, upper):
         up = w1 * np.exp(a * log_s - math.log(a) - log_beta)
         out[deep] = up if upper else 1.0 - up
     return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
-
-
-def _exp_share(y, k, upper):
-    """_gamma_share at nu = 1, exp(-y) below the smallest normal k."""
-    shape, y = np.shape(y), np.atleast_1d(y)
-    if k < _TINY:
-        log_s = -y
-    else:
-        # in place, as in _log_kexp_neg
-        log_s = k * y
-        np.arcsinh(log_s, out=log_s)
-        tail = np.multiply(log_s, -2.0)
-        np.expm1(tail, out=tail)
-        tail *= 0.5 * (1.0 - k)
-        with np.errstate(over="ignore"):
-            log_s /= k
-        # as in _log_kexp_neg: below u = 2^-26, and where u underflows,
-        # arcsinh(u)/k is y to rounding
-        small = k * y < 2.0**-26
-        if np.count_nonzero(small):
-            log_s[small] = y[small]
-        log_s *= k - 1.0
-        log_s += np.log1p(tail, out=tail)
-    if upper:
-        return np.exp(log_s, out=log_s).reshape(shape)
-    return np.negative(np.expm1(log_s, out=log_s), out=log_s).reshape(shape)
 
 
 def _log_gamma_draw(gen, shape, size):

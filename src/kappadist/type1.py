@@ -12,8 +12,8 @@ regularized incomplete Beta functions
     1 - G(y) = w1 I_s(a, nu) + w2 I_s(a+1, nu),
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
-(core._gamma_share; at nu = 1 both terms are powers and it is
-elementary), so no quadrature is needed at evaluation time,
+(core._gamma_share; at integral nu a finite sum of positive terms),
+so no quadrature is needed at evaluation time,
 and s is drawn exactly from the matching Beta mixture
 (core._gamma_share_log_draw), so sampling needs no quantile.  Type1
 writes only this law of y; framework.PowerTransformed maps it to x, for
@@ -36,11 +36,6 @@ from .errors import DomainError
 from .framework import PowerTransformed, SymmetrizedDistribution, as_integer, check_param
 
 __all__ = ["Type1", "ErlangPolynomials", "erlang_polynomials", "KappaErlang", "KappaNormal"]
-
-# Below this cdf value KappaErlang's 1 - survival would lose more than
-# 10 bits, so the cdf switches to the incomplete-Beta lower fraction.
-_ERLANG_LOWER_TAIL = 2.0**-10
-
 
 class Type1(PowerTransformed):
     """Deformed Generalized Gamma on x >= 0.
@@ -102,7 +97,7 @@ class Type1(PowerTransformed):
         return log_mellin_kappa(self.nu + r, self.kappa) - self._log_mellin_nu
 
 # --------------------------------------------------------------------------
-# Erlang subfamily: alpha = 1, nu = n integer; cdf in closed polynomial form
+# Erlang subfamily: alpha = 1, nu = n integer; the paper's closed polynomial cdf
 # --------------------------------------------------------------------------
 
 
@@ -171,50 +166,18 @@ def erlang_polynomials(n, kappa):
 
 
 class KappaErlang(Type1):
-    """Type I with alpha = 1 and integer nu = n: closed cdf, survival and hazard.
-
-    General scale beta enters by the substitution x -> beta x, which
-    leaves the polynomial identity intact.  At n = 1 Type1's share is
-    itself elementary and exact to rounding on both sides, and is used.
-    """
+    """Type I with alpha = 1 and integer nu = n: the Erlang subfamily, whose cdf
+    1 - [R + Q sqrt(1 + k^2 z^2)] kappa_exp(-z), z = beta x, is the paper's
+    closed form (erlang_polynomials); Type1's finite-sum share evaluates it."""
 
     def __init__(self, n, beta, kappa):
-        self.polynomials = erlang_polynomials(n, kappa)
-        n = self.polynomials.n
-        super().__init__(alpha=1.0, beta=beta, nu=float(n), kappa=kappa)
-        self.n = n
+        self.n = as_integer(n)
+        if self.n is None or self.n < 1:
+            raise DomainError(f"order n must be an integer >= 1, got {n!r}")
+        super().__init__(alpha=1.0, beta=beta, nu=float(self.n), kappa=kappa)
 
     def get_params(self):
         return {"n": self.n, "beta": self.beta, "kappa": self.kappa}
-
-    def _survival(self, x):
-        if self.n == 1:
-            return super()._survival(x)
-        z = self.beta * x
-        k = self.kappa
-        with np.errstate(over="ignore", invalid="ignore"):
-            body = self.polynomials.r_value(z) + self.polynomials.q_value(z) * np.sqrt(
-                1.0 + (k * z) ** 2
-            )
-            e = np.exp(_log_kexp_neg(z, k))
-            out = np.atleast_1d(np.clip(body * e, 0.0, 1.0))
-        # where the body overflows or kappa_exp(-z) leaves the normal range
-        # (both at x = inf) take the incomplete-Beta upper fraction
-        far = np.atleast_1d(np.isinf(body) | (e < np.finfo(float).tiny))
-        if np.count_nonzero(far):
-            out[far] = super()._survival(np.atleast_1d(x)[far])
-        return out.reshape(x.shape)
-
-    def _cdf(self, x):
-        if self.n == 1:
-            return super()._cdf(x)
-        out = np.atleast_1d(1.0 - self._survival(x))
-        # 1 - survival has only absolute precision; near the origin take
-        # the incomplete-Beta lower fraction, exact in relative terms
-        low = out < _ERLANG_LOWER_TAIL
-        if np.count_nonzero(low):
-            out[low] = super()._cdf(np.atleast_1d(x)[low])
-        return out.reshape(x.shape)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import _TINY, _log_kexp_neg, _log_mellin_ratio
+from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, _one_minus, _rise
 from .errors import DomainError, UnsupportedOrderError
 from .framework import _STEP_TOL, PowerTransformed, as_integer
 
@@ -30,25 +30,15 @@ MAX_ORDER = 8  # each ladder up to here is checked against mpmath inside its win
 
 def _xi(q, k):
     """(xi(q), log xi(q)), xi(q) = prod (1 - c k)(1 + c k), c = q - 2, q - 4, ... > 0,
-    each 1 - c k from the exact c k = c k_hi + c k_lo (Veltkamp's split) and each
-    log from log1p(-(c k)^2) below c k = 1/2: to their relative precision at every k."""
-    hi = 134217729.0 * k - (134217729.0 * k - k)
+    each 1 - c k from _one_minus and each log from log1p(-(c k)^2) below c k = 1/2:
+    to their relative precision at every k."""
     xi, log_xi = 1.0, 0.0
     for c in range(q - 2, 0, -2):
         u = c * k
-        f = ((1.0 - c * hi) - c * (k - hi)) * (1.0 + u)
+        f = _one_minus(c, k) * (1.0 + u)
         xi *= f
         log_xi += math.log1p(-u * u) if u < 0.5 else math.log(f) if f > 0.0 else math.nan
     return xi, log_xi
-
-
-def _rise(c, t):
-    """P(t) - P(0) = t (c[1] + c[2] t + ...) by Horner's rule, in place after the first product."""
-    out = 0.0 if len(c) == 1 else t * c[-1]
-    for ci in c[-2:0:-1]:
-        out += ci
-        out *= t
-    return out
 
 
 def _root(c):

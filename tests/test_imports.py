@@ -1,7 +1,8 @@
 """scipy is loaded only where a value needs it: scipy.special by the Type I
-shares at nu != 1 and by quadrature, scipy.integrate by quadrature.
-Importing kappadist loads no scipy module, nor does fitting any family or
-a Type I share at nu = 1.
+shares at non-integral nu (and the lower one near the origin at integral
+nu >= 2) and by quadrature, scipy.integrate by quadrature.  Importing
+kappadist loads no scipy module, nor does fitting any family, a Type I
+share at nu = 1 or an upper Type I share at integral nu.
 
 The check runs in a fresh interpreter, since this process already holds
 scipy.integrate: pyproject.toml's warning filters name one of its classes.
@@ -88,6 +89,9 @@ def test_only_type1_shares_and_quadrature_load_scipy(tmp_path):
         # the nu = 1 share is elementary
         ["tabulate", *type1, *grid, "--what", "cdf"],
         ["tabulate", *type1, *grid, "--what", "pdf,cdf,survival,hazard"],
+        # the upper share at an integral nu is a finite sum
+        ["tabulate", "--family", "type1", "--alpha", "1", "--nu", "3", *fam, *grid,
+         "--what", "pdf,survival,hazard"],
         *fits,
     ]
     # the positive controls: a Type I share at nu != 1, then Type3 moments

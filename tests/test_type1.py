@@ -14,6 +14,7 @@ from kappadist import (
     Type1,
     VarianceDivergesError,
     erlang_polynomials,
+    kappa_exp,
     oracle,
 )
 from kappadist.core import _gamma_share
@@ -167,10 +168,34 @@ class TestErlang:
             assert d.survival(x) == pytest.approx(float(gammaincc(n, 1.3 * x)), rel=1e-12)
 
     def test_closed_cdf_matches_general_route(self):
+        # the general route is the 40-digit Beta mixture of y = beta x
         d = KappaErlang(3, 2.0, 0.2)
-        general = Type1(1.0, 2.0, 3.0, 0.2)
         x = np.array([0.1, 0.6, 1.4, 3.3])
-        np.testing.assert_allclose(d.cdf(x), general.cdf(x), rtol=1e-10, atol=1e-12)
+        general = [_mp_shares(3.0, 0.2, 2.0 * v)[1] for v in x]
+        np.testing.assert_allclose(d.cdf(x), general, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_survival_is_the_printed_polynomial(self, n):
+        # the paper's S = [R + Q sqrt(1 + k^2 z^2)] kappa_exp(-z) as the oracle
+        # of the finite-sum share
+        k = min(0.9 / n, 0.3)
+        p = erlang_polynomials(n, k)
+        d = KappaErlang(n, 1.0, k)
+        for z in (0.1, 1.0, 5.0, 30.0):
+            expect = (p.r_value(z) + p.q_value(z) * math.sqrt(1.0 + (k * z) ** 2)) * kappa_exp(-z, k)
+            assert d.survival(z) == pytest.approx(expect, rel=1e-13, abs=0.0), z
+
+    def test_laws_next_to_a_pole_of_the_polynomials(self):
+        # erlang_polynomials refuses kappa within 1e-12 of 1/m; the law is a
+        # Type I law there all the same
+        k = 0.2 - 1e-13
+        d = KappaErlang(5, 1.0, k)
+        x = np.array([1e-3, 0.3, 2.0, 40.0, 1e6, 1e100])
+        expect = [_mp_shares(5.0, k, v)[0] for v in x]
+        np.testing.assert_allclose(d.survival(x), expect, rtol=1e-13, atol=0.0)
+        # the cdf, below 2^-10 all the way out, is the incomplete-Beta form,
+        # whose a = 1/2k - 5/2 = 1.25e-12 keeps only 3-4 digits here
+        np.testing.assert_allclose(d.cdf(x) + d.survival(x), 1.0, rtol=0.0, atol=1e-12)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -305,9 +330,9 @@ class TestSharesAtSmallKappa:
             assert d.quantile(d.cdf(x)) == pytest.approx(x, rel=1e-12), x
 
     def test_far_tail_matches_erlang(self):
-        # 1 - lower read 0.0 here; KappaErlang's polynomial is exact
+        # 1 - lower read 0.0 here
         assert Type1(1.0, 1.0, 2.0, 1e-3).survival(60.0) == pytest.approx(
-            KappaErlang(2, 1.0, 1e-3).survival(60.0), rel=1e-12, abs=0.0
+            _mp_shares(2.0, 1e-3, 60.0)[0], rel=1e-12, abs=0.0
         )
 
 
@@ -353,7 +378,7 @@ class TestErlangOracle:
 class TestErlangFarTail:
     @pytest.mark.parametrize("x", [1e90, 1e95, 1e98, 1e100, 1e150, 1e200])
     def test_survival_where_kappa_exp_leaves_the_normal_range(self, x):
-        # the polynomial body times kappa_exp(-x) loses its digits once the
-        # latter is subnormal; the incomplete-Beta share takes over
+        # the paper's polynomial body times kappa_exp(-x) loses its digits once
+        # the latter is subnormal; the share in log form does not
         got = KappaErlang(2, 1.0, 0.3).survival(x)
-        assert got == pytest.approx(Type1(1.0, 1.0, 2.0, 0.3).survival(x), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(_mp_upper_share(2.0, 0.3, x), rel=1e-12, abs=0.0)
