@@ -28,11 +28,14 @@ KAPPA_SWITCH = 1e-4
 # overflows soon after): the leading incomplete-Beta term is exact there.
 _DEEP_TAIL = 2.0**500
 
-# Integral orders up to this take the Type I share as a finite sum; past it
-# its lower share loses over 10 bits and costs more than one betainc.
-_SUM_ORDERS = 8
-_SUM_CLAMP = 2.0**16  # past x = y r = 2^16 s^a < exp(16 - 2^16) underflows, also times x^7
-_LOWER_TAIL = 2.0**-10  # below it the sum's lower share would lose over 10 bits
+# Integral orders up to this take the Type I upper share as a finite sum, at
+# every kappa; past it x^(n-1) at _SUM_CLAMP would overflow.
+_SUM_ORDERS = 64
+_SUM_CLAMP = 2.0**16  # past x = y r = 2^16, s^a < exp(-2^15) underflows, also times x^63
+# Past this order the sum's lower share loses over 10 bits and costs more
+# than one betainc, which takes it wherever it is no worse.
+_LOWER_ORDERS = 8
+_LOWER_TAIL = 2.0**-10  # below it the sum's lower share may lose over 10 bits
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
@@ -101,11 +104,21 @@ def _log_kexp_neg(y, k):
 @functools.cache
 def _special():
     """scipy.special, imported on first use, so that only the values that need
-    it (the Type I shares at non-integral nu, and the lower one near the origin
-    at integral nu >= 2, and kappa_erf at kappa = 0) pay for loading it."""
+    it (the Type I shares at non-integral nu or past order _SUM_ORDERS, the
+    lower one near the origin at integral nu >= 2 or past order _LOWER_ORDERS,
+    and kappa_erf at kappa = 0) pay for loading it."""
     import scipy.special
 
     return scipy.special
+
+
+@functools.lru_cache(maxsize=256)
+def _sum_coefs(n, k):
+    """(1 - n k, R's and W's coefficients) of _gamma_share's order-n finite sum."""
+    p = [1.0]  # P_j; P_(j+1) = P_j (1 + (2j - n) k)/(j + 1)
+    for j in range(n):
+        p.append(p[-1] * _one_minus(n - 2 * j, k) / (j + 1))
+    return p[1], [_one_minus(-j, k) * p[j] for j in range(n)], [0.5 * (j + 1) * p[j + 1] for j in range(n)]
 
 
 def _gamma_share(y, nu, k, upper):
@@ -123,22 +136,50 @@ def _gamma_share(y, nu, k, upper):
     P_(j+1) x^j/2.  No term divides by k: at k = 0 it is the Erlang share
     e^-y sum y^j/j!, and below the smallest normal k, s^a is e^-y and
     expm1(-2w) W is below rounding.  At n = 1 R = 0 and W = w2, and the lower
-    share -expm1(log S) is exact; at n >= 2 it cancels, and below _LOWER_TAIL
-    it is _beta_share's, as is every share at any other nu.
+    share -expm1(log S) is exact.  At n >= 2 the two terms of log S, each
+    good to a few eps, cancel near the origin: the log1p term B leaves an
+    error of about eps (2|B| + |log S|).  Below _LOWER_TAIL, where |B| is
+    over 8 (1 - S), the lower share is _beta_share's; next to a pole, at a
+    small a, B stays below that out to where s is small, and there betainc
+    of 1 - s would lose the digits.  Past _LOWER_ORDERS the lower share is
+    _beta_share's from KAPPA_SWITCH up, and below it where k^2 n^3 < 2^-40,
+    which keeps the classical stand-in's error, about k^2 n^3/6, within the
+    sum's loss there; so is every share at any other nu.
     """
-    if nu > _SUM_ORDERS or not nu.is_integer():
+    n = int(nu) if nu.is_integer() and nu <= _SUM_ORDERS else 0
+    beta_lower = n > _LOWER_ORDERS and (k >= KAPPA_SWITCH or k * k * n**3 < 2.0**-40)
+    if not n or (beta_lower and not upper):
         return _beta_share(y, nu, k, upper)
-    n = int(nu)
-    shape, y = np.shape(y), np.atleast_1d(y)
-    m = 1.0 - k
     if n > 1:
-        p = [1.0]  # P_j; P_(j+1) = P_j (1 + (2j - n) k)/(j + 1)
-        for j in range(n):
-            p.append(p[-1] * _one_minus(n - 2 * j, k) / (j + 1))
-        m, r_coef = p[1], [_one_minus(-j, k) * p[j] for j in range(n)]
-        w_coef = [0.5 * (j + 1) * p[j + 1] for j in range(n)]
-    if k < _TINY:
-        log_s = -y if n == 1 else np.log1p(_rise(r_coef, np.fmin(y, _SUM_CLAMP))) - y
+        m, r_coef, w_coef = _sum_coefs(n, k)
+    else:
+        m = 1.0 - k
+    if n > 1 and np.ndim(y) == 0:
+        # a scalar: the operations below in numpy's float64, at a fraction of
+        # the cost of 1-element arrays
+        y = np.float64(y)
+        with np.errstate(over="ignore"):
+            if k < _TINY:
+                tail = np.log1p(_rise(r_coef, min(y, _SUM_CLAMP)))
+                log_s = tail - y
+            else:
+                w = np.arcsinh(k * y)
+                t = np.expm1(w * -2.0)
+                x = min(t * (-0.5 / k), _SUM_CLAMP)
+                tail = np.log1p(t * (_rise(w_coef, x) + w_coef[0]) + _rise(r_coef, x))
+                log_s = (y if k * y < 2.0**-26 else w / k) * -m + tail
+        if upper:
+            return np.exp(log_s)
+        out = -np.expm1(log_s)
+        if out < _LOWER_TAIL and abs(tail) >= 8.0 * out:
+            return _beta_share(y, nu, k, False)
+        return out
+    shape, y = np.shape(y), np.atleast_1d(y)
+    if k < _TINY and n == 1:
+        log_s = -y
+    elif k < _TINY:
+        tail = np.log1p(_rise(r_coef, np.fmin(y, _SUM_CLAMP)))
+        log_s = tail - y
     else:
         # in place, as in _log_kexp_neg
         log_s = k * y
@@ -166,6 +207,7 @@ def _gamma_share(y, nu, k, upper):
     out = np.negative(np.expm1(log_s, out=log_s), out=log_s)
     if n > 1:
         near = out < _LOWER_TAIL
+        near &= np.abs(tail, out=tail) >= 8.0 * out
         if np.count_nonzero(near):
             out[near] = _beta_share(y[near], nu, k, False)
     return out.reshape(shape)
@@ -193,7 +235,8 @@ def _beta_share(y, nu, k, upper):
     if k < KAPPA_SWITCH:
         return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
     u = np.atleast_1d(k * y)
-    a = 0.5 / k - 0.5 * nu
+    # at an integral nu, 1 - nu k from the exact nu k: near nu = 1/k a cancels
+    a = 0.5 * _one_minus(nu, k) / k if nu.is_integer() else 0.5 / k - 0.5 * nu
     w1 = (a + nu) / (2.0 * a + nu)
     log_beta = sp.betaln(a, nu)
     # log(1 - s) is -inf at y = 0, and NaN at y = inf, a deep-tail point

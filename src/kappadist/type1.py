@@ -12,7 +12,7 @@ regularized incomplete Beta functions
     1 - G(y) = w1 I_s(a, nu) + w2 I_s(a+1, nu),
     a = 1/(2k) - nu/2,  w1 = (a+nu)/(2a+nu),  w2 = a/(2a+nu),
 
-(core._gamma_share; at integral nu a finite sum of positive terms),
+(core._gamma_share; at integral nu <= 64 a finite sum of positive terms),
 so no quadrature is needed at evaluation time,
 and s is drawn exactly from the matching Beta mixture
 (core._gamma_share_log_draw), so sampling needs no quantile.  Type1
@@ -168,7 +168,7 @@ def erlang_polynomials(n, kappa):
 class KappaErlang(Type1):
     """Type I with alpha = 1 and integer nu = n: the Erlang subfamily, whose cdf
     1 - [R + Q sqrt(1 + k^2 z^2)] kappa_exp(-z), z = beta x, is the paper's
-    closed form (erlang_polynomials); Type1's finite-sum share evaluates it."""
+    closed form (erlang_polynomials); Type1's finite-sum share evaluates it to n = 64."""
 
     def __init__(self, n, beta, kappa):
         self.n = as_integer(n)

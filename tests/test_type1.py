@@ -185,17 +185,18 @@ class TestErlang:
             expect = (p.r_value(z) + p.q_value(z) * math.sqrt(1.0 + (k * z) ** 2)) * kappa_exp(-z, k)
             assert d.survival(z) == pytest.approx(expect, rel=1e-13, abs=0.0), z
 
-    def test_laws_next_to_a_pole_of_the_polynomials(self):
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_laws_next_to_a_pole_of_the_polynomials(self, n):
         # erlang_polynomials refuses kappa within 1e-12 of 1/m; the law is a
-        # Type I law there all the same
-        k = 0.2 - 1e-13
-        d = KappaErlang(5, 1.0, k)
+        # Type I law there all the same, with a = 1/2k - n/2 of order 1e-12
+        k = 1.0 / n - 1e-13
+        d = KappaErlang(n, 1.0, k)
         x = np.array([1e-3, 0.3, 2.0, 40.0, 1e6, 1e100])
-        expect = [_mp_shares(5.0, k, v)[0] for v in x]
-        np.testing.assert_allclose(d.survival(x), expect, rtol=1e-13, atol=0.0)
-        # the cdf, below 2^-10 all the way out, is the incomplete-Beta form,
-        # whose a = 1/2k - 5/2 = 1.25e-12 keeps only 3-4 digits here
-        np.testing.assert_allclose(d.cdf(x) + d.survival(x), 1.0, rtol=0.0, atol=1e-12)
+        expect = np.array([_mp_shares(float(n), k, v) for v in x])
+        np.testing.assert_allclose(d.survival(x), expect[:, 0], rtol=1e-13, atol=0.0)
+        # the reference's 1 - s keeps no digit of s = r^2 at x = 1e100
+        np.testing.assert_allclose(d.cdf(x[:-1]), expect[:-1, 1], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(d.cdf(x) + d.survival(x), 1.0, rtol=0.0, atol=1e-15)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
