@@ -61,9 +61,14 @@ def _exp(v):
 
 
 def _one_minus(c, k):
-    """1 - c k for an integer c from the exact c k = c k_hi + c k_lo (Veltkamp's split)."""
-    hi = 134217729.0 * k - (134217729.0 * k - k)
-    return (1.0 - c * hi) - c * (k - hi)
+    """1 - c k from the exact c k (Dekker's product): Veltkamp's split makes
+    c and k each a sum of two halves of at most 26 bits, whose four products
+    are exact; 1 - c_hi k_hi is exact where c k is near 1, so only the sum of
+    the three small products rounds.  A small integer c is its own c_hi."""
+    c_hi = 134217729.0 * c - (134217729.0 * c - c)
+    k_hi = 134217729.0 * k - (134217729.0 * k - k)
+    c_lo, k_lo = c - c_hi, k - k_hi
+    return (1.0 - c_hi * k_hi) - (c_hi * k_lo + c_lo * k_hi + c_lo * k_lo)
 
 
 def _rise(c, t):
@@ -235,8 +240,8 @@ def _beta_share(y, nu, k, upper):
     if k < KAPPA_SWITCH:
         return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
     u = np.atleast_1d(k * y)
-    # at an integral nu, 1 - nu k from the exact nu k: near nu = 1/k a cancels
-    a = 0.5 * _one_minus(nu, k) / k if nu.is_integer() else 0.5 / k - 0.5 * nu
+    # a = (1 - nu k)/2k from the exact nu k, which 1/2k - nu/2 would cancel near nu = 1/k
+    a = 0.5 * _one_minus(nu, k) / k
     w1 = (a + nu) / (2.0 * a + nu)
     log_beta = sp.betaln(a, nu)
     # log(1 - s) is -inf at y = 0, and NaN at y = inf, a deep-tail point

@@ -3,23 +3,25 @@
 A Distribution exposes pdf/logpdf/cdf/survival/hazard/quantile/
 raw_moment/descriptive_stats/mode/sample.  The public evaluation methods
 take a scalar or an array, convert it once and hand an array to the
-family's private method (_pdf or _logpdf, _cdf or _survival, _quantile);
-a 0-d result comes back as a Python float.  pdf, logpdf, cdf, survival
-and hazard hand an array of more than _BLOCK points over in blocks of
-_BLOCK, so the working set of a call does not grow with the array.
-Families override what they have in closed form; the base class supplies
-the missing one of each pair, quadrature moments, log-space Newton
-quantiles, inverse-transform draws (_draw) and the half-line -> real-line
+family's private method (_pdf, _logpdf, _cdf, _survival, _hazard,
+_quantile); a 0-d result comes back as a Python float.  pdf, logpdf,
+cdf, survival and hazard hand an array of more than _BLOCK points over
+in blocks of _BLOCK, so the working set of a call does not grow with
+the array.  The base class supplies the density from its log, the
+hazard as pdf/survival, quadrature moments, log-space Newton quantiles,
+inverse-transform draws (_draw) and the half-line -> real-line
 symmetrizer.  Only the families with a closed quantile draw by inverse
 transform: the Type I law draws from its Beta mixture and Type V by
 rejection, so no draw runs the solver.
 The density's powers at its two ends decide a pole of the mode, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
-family code runs.  PowerTransformed carries the change of variables
-Y = beta X^alpha, with its quantiles, draws and moments, for every
-half-line family (Type1 to Type5), each of which writes only the law
-of Y.
+family code runs.  Every law is one of two kinds.  PowerTransformed
+carries the change of variables Y = beta X^alpha, with its shares,
+density, quantiles, draws and moments, for every half-line family
+(Type1 to Type5), each of which writes only the law of Y.
+SymmetrizedDistribution reflects a half-line law onto the real line
+(symmetrize(), KappaNormal and KappaLogistic).
 
 Parameters are validated at construction and immutable afterwards, so
 instances are safe for concurrent read access.
@@ -194,22 +196,11 @@ class Distribution:
             far = np.where(s == 0.0, math.inf if a is None else (a - 1.0) / x, far)
             return np.where(p < _TINY, far, p / s)
 
-    # A family writes its density once, in linear (_pdf) or log (_logpdf)
-    # form, and at least one of _cdf and _survival; each takes and returns
-    # float arrays.
+    # A family writes _logpdf, _cdf and _survival, each taking and returning
+    # float arrays; the density is exp(_logpdf) unless it writes _pdf too.
 
     def _pdf(self, x):
         return np.exp(self._logpdf(x))
-
-    def _logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self._pdf(x))
-
-    def _cdf(self, x):
-        return 1.0 - self._survival(x)
-
-    def _survival(self, x):
-        return 1.0 - self._cdf(x)
 
     # -- quantiles and sampling ---------------------------------------------
 
@@ -341,12 +332,6 @@ class Distribution:
             raise MomentDivergesError(self.moment_constraint(True), f"m = {m:g} <= {lo:g}")
         if not m < hi:
             raise MomentDivergesError(self.moment_constraint(False), f"m = {m:g} >= {hi:g}")
-
-    def raw_moment(self, m):
-        self.check_moment_order(m)
-        if m == 0:
-            return 1.0
-        return self._moment_by_quadrature(m)
 
     def _moment_by_quadrature(self, m, tol=1e-9):
         scale = self._quantile_scale()

@@ -1,13 +1,13 @@
 """Deformed Weibull family (Type II): survival kappa_exp(-beta x^alpha).
 
 Type II is Type III at lambda = 1 and inherits its cdf, survival,
-density, hazard rate, cumulative hazard (arcsinh form), closed-form
-quantile, mode (the root of the log-density slope, for either sign of
-alpha) and moments, whose series has the single Mellin term
-Gamma(1+r) beta^(-r) M_k(r)/Gamma(r), r = m/alpha, here (either sign of
-alpha).  What needs lambda = 1 lives here: the closed hazard, Gini and
-Lorenz (alpha = 1).  alpha < 0 turns the cdf expression into the
-survival function.
+density, hazard (the closed hazard rate itself for alpha > 0), cumulative
+hazard (arcsinh form), closed-form quantile, mode (the root of the
+log-density slope, for either sign of alpha) and moments, whose series
+has the single Mellin term Gamma(1+r) beta^(-r) M_k(r)/Gamma(r),
+r = m/alpha, here (either sign of alpha).  What needs lambda = 1 lives
+here: Gini and Lorenz (alpha = 1).  alpha < 0 turns the cdf expression
+into the survival function.
 """
 
 import math
@@ -27,11 +27,6 @@ class Type2(Type3):
 
     def get_params(self):
         return {"alpha": self.alpha, "beta": self.beta, "kappa": self.kappa}
-
-    def hazard(self, x):
-        if self.alpha < 0.0:
-            return super().hazard(x)
-        return self.hazard_rate(x)
 
     # -- inequality statistics -----------------------------------------------------
 

@@ -5,11 +5,16 @@ survival S(x) = lambda E / (1 + (lambda - 1) E) with
 E = kappa_exp(-beta x^alpha); lambda = 1 collapses exactly to Type II,
 which is therefore its subclass, 0 < lambda < 1 is the bosonic regime,
 lambda > 1 the fermionic one.  S obeys dS/dx = -h S (1 - (lambda-1)/lambda S)
-with the same h and cumulative hazard as Type II.
+with the same h and cumulative hazard as Type II, so for alpha > 0 the
+hazard is h/(1 + (lambda-1) E).
 
 Everything is evaluated from log E, so 1 - E = -expm1(log E) keeps its
 relative precision where E is close to 1, and the quantile inverts log E
 with sinh.
+
+The deformed Logistic F(x) = 1/(1 + kappa_exp(-beta x)) is the even
+reflection of alpha = 1, lambda = 2: kappa_exp(x) kappa_exp(-x) = 1 makes
+F(x) = 1/2 + (1 - E)/(2 (1 + E)) for x >= 0, half the Type III share.
 """
 
 import math
@@ -17,9 +22,9 @@ import math
 import numpy as np
 
 from . import oracle
-from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, _sinh_k, check_kappa, kappa_log
+from .core import _TINY, _log_kexp_neg, _log_mellin_ratio, _sinh_k
 from .errors import DomainError
-from .framework import Distribution, ModeResult, PowerTransformed, check_param
+from .framework import Distribution, ModeResult, PowerTransformed, SymmetrizedDistribution, check_param
 
 __all__ = ["Type3", "KappaLogistic"]
 
@@ -88,6 +93,14 @@ class Type3(PowerTransformed):
             # past the largest float y, h is alpha/(k x) to every digit
             return np.where(np.isinf(y), a / (k * x), h)
 
+    def _hazard(self, x):
+        """pdf/S = h/(1 + (lambda-1) E) for alpha > 0, finite where S underflows;
+        for alpha < 0 h/S is not the hazard, and pdf/S is taken as it stands."""
+        if self.alpha < 0.0:
+            return super()._hazard(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._hazard_rate(x) / self._y_parts(self._y(x), False)[2]
+
     def cum_hazard(self, x):
         """H(x) = arcsinh(kappa beta x^alpha)/kappa, Type II's; classical
         limit beta x^alpha.  For alpha < 0 it is -log survival."""
@@ -104,15 +117,19 @@ class Type3(PowerTransformed):
 
     _y_power = 1.0
 
-    def _y_share(self, y, upper):
-        """lambda E/(1 + (lambda-1) E) above y (upper), or (1 - E)/(1 + (lambda-1) E) below."""
+    def _y_parts(self, y, below):
+        """(E, 1 - E, D = 1 + (lambda-1) E); 1 - E is None unless below or lambda < 1."""
         lam = self.lam
         log_e = _log_kexp_neg(y, self.kappa)
         e = np.exp(log_e)
-        below = None if upper and lam >= 1.0 else -np.expm1(log_e)
+        one_e = -np.expm1(log_e) if below or lam < 1.0 else None
         # for lambda < 1, 1 - (1-lambda) E would cancel where E is close to 1
-        den = 1.0 + (lam - 1.0) * e if lam >= 1.0 else lam * e + below
-        return lam * e / den if upper else below / den
+        return e, one_e, (1.0 + (lam - 1.0) * e if lam >= 1.0 else lam * e + one_e)
+
+    def _y_share(self, y, upper):
+        """lambda E/(1 + (lambda-1) E) above y (upper), or (1 - E)/(1 + (lambda-1) E) below."""
+        e, one_e, den = self._y_parts(y, not upper)
+        return self.lam * e / den if upper else one_e / den
 
     def _y_log_regular(self, y):
         # pdf_Y = lambda E / (sqrt(1 + u^2) (1 + (lambda-1) E)^2), u = k y
@@ -215,67 +232,41 @@ class Type3(PowerTransformed):
         return "m > alpha/kappa" if at_origin else "m < alpha/kappa"
 
 
-class KappaLogistic(Distribution):
-    """Deformed Logistic on the real line: F(x) = 1/(1 + kappa_exp(-beta x)).
+class KappaLogistic(SymmetrizedDistribution):
+    """Deformed Logistic on the real line: F(x) = 1/(1 + kappa_exp(-beta z)), z = x - loc.
 
-    The standard position is loc = 0; loc is a constructor convenience
-    shifting the whole distribution.
+    The even reflection of Type3(1, beta, 2, kappa) about loc; every private
+    method takes z.  Its draws are the inverse transform of the generator's
+    uniforms.
     """
 
-    support_real_line = True
+    _draw = Distribution._draw
 
     def __init__(self, beta, kappa, loc=0.0):
-        self.kappa = check_kappa(kappa)
-        self.beta = check_param("beta", beta)
+        super().__init__(Type3(1.0, beta, 2.0, kappa))
+        self.beta, self.kappa = self.half.beta, self.half.kappa
         self.loc = check_param("loc", loc, positive=False)
 
     def get_params(self):
         return {"beta": self.beta, "kappa": self.kappa, "loc": self.loc}
 
-    def _cdf(self, x):
-        # beta (x - loc) is formed twice, not kept: on a large array a live
-        # temporary costs more than the rare second pass
-        with np.errstate(over="ignore"):
-            out = 1.0 / (1.0 + np.exp(_log_kexp_neg(self.beta * (x - self.loc), self.kappa)))
-            if np.all(out):
-                return out
-            # where E overflows the cdf is 1/E to rounding, down into the subnormals
-            e_inv = np.exp(-_log_kexp_neg(self.beta * (x - self.loc), self.kappa))
-            return np.where(out == 0.0, e_inv, out)
+    def _on_support(self, fn, x, below):
+        return super()._on_support(lambda v: fn(v - self.loc), x, below)
 
-    def _survival(self, x):
-        # E(z) E(-z) = 1: the cdf mirrored about loc, not 1 - cdf
-        return self._cdf(2.0 * self.loc - x)
-
-    def _logpdf(self, x):
-        # E(z) E(-z) = 1 makes the density even in z: beta E/(sqrt(1 + u^2) (1 + E)^2)
-        # at |z|, u = k |z|, where log sqrt(1 + u^2) = a - log1p(tanh a),
-        # a = arcsinh(u) = -k log E, stays finite where u*u overflows
-        k = self.kappa
-        log_e = _log_kexp_neg(np.abs(self.beta * (x - self.loc)), k)
-        out = math.log(self.beta) + log_e - 2.0 * np.log1p(np.exp(log_e))
-        if k > 0.0:
-            a = -k * log_e
-            out -= a - np.log1p(np.tanh(a))
-        return out
-
-    def _hazard(self, x):
-        # the density is beta F S/sqrt(1 + u^2), so pdf/S = F/hypot(1/beta, k (x - loc)):
+    def _hazard(self, z):
+        # the density is beta F S/sqrt(1 + u^2), u = k beta z, so pdf/S = F/hypot(1/beta, k z):
         # E cancels, and the hazard stays finite where S underflows
         k = self.kappa
-        root = np.hypot(1.0 / self.beta, k * (x - self.loc)) if k > 0.0 else 1.0 / self.beta
-        return self._cdf(x) / root
-
-    def _pdf_tail_power(self):
-        return None if self.kappa < _TINY else 1.0 + 1.0 / self.kappa
+        root = np.hypot(1.0 / self.beta, k * z) if k > 0.0 else 1.0 / self.beta
+        return self._cdf(z) / root
 
     def _quantile(self, p, upper=False):
-        # survival(x) = p is cdf(x) = 1 - p
-        odds = (1.0 - p) / p if upper else p / (1.0 - p)
-        return self.loc + kappa_log(odds, self.kappa) / self.beta
+        return self.loc + super()._quantile(p, upper)
 
     def check_moment_order(self, m):
         raise DomainError("moments of the full-line logistic are not provided")
+
+    raw_moment = check_moment_order  # at every order, before the reflection's integer test
 
     def mode(self):
         return ModeResult(kind="interior", x=self.loc)

@@ -108,6 +108,34 @@ class TestHazardRateBelowZeroAlpha:
         assert np.array_equal(d.hazard_rate(x), h)
 
 
+def _mp_type3_hazard(x, alpha, beta, lam, kappa):
+    # pdf/S = h/(1 + (lambda-1) E), h = alpha beta x^(alpha-1)/sqrt(1 + (k y)^2), y = beta x^alpha
+    with mpmath.workdps(40):
+        a, b, lam, k, x = (mpmath.mpf(v) for v in (alpha, beta, lam, kappa, x))
+        y = b * x**a
+        log_e = -y if kappa == 0.0 else -mpmath.asinh(k * y) / k
+        h = a * b * x ** (a - 1) / mpmath.sqrt(1 + (k * y) ** 2)
+        return float(h / (1 + (lam - 1) * mpmath.exp(log_e)))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
+def test_type3_hazard_against_mpmath(lam, kappa, alpha):
+    # closed for alpha > 0: h/(1 + (lambda-1) E) needs no survival, so it holds
+    # where S underflows, where pdf/S reads half the true value at lambda = 2
+    # and inf at kappa = 0
+    d = Type3(alpha, 1.3, lam, kappa)
+    x = np.logspace(-300, 300, 121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = d.hazard(x)
+    assert np.array_equal(h, [d.hazard(float(v)) for v in x])
+    ref = np.array([_mp_type3_hazard(v, alpha, 1.3, lam, kappa) for v in x])
+    keep = ref >= np.finfo(float).tiny
+    np.testing.assert_allclose(h[keep], ref[keep], rtol=1e-13, atol=0.0)
+
+
 def _mp_logistic_hazard(x, beta, kappa, loc):
     # pdf/S = beta F/sqrt(1 + u^2), F = 1/(1 + E), E = exp_k(-z), u = k z, z = beta (x - loc)
     with mpmath.workdps(40):

@@ -15,7 +15,17 @@ import pytest
 
 import kappadist
 from conftest import TYPE5_HIGH_ORDERS, integrate_pdf, mp_xi
-from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5
+from kappadist import (
+    Distribution,
+    KappaErlang,
+    KappaLogistic,
+    SymmetrizedDistribution,
+    Type1,
+    Type2,
+    Type3,
+    Type4,
+    Type5,
+)
 from kappadist.framework import PowerTransformed
 
 
@@ -153,6 +163,16 @@ def test_every_half_line_family_is_power_transformed():
     mapped = {"_cdf", "_survival", "_pdf", "_logpdf", "_quantile_scale", "_pdf_singular_power", "_pdf_tail_power"}
     assert not mapped & set(vars(Type5))
     assert "_logpdf_at_origin" not in vars(Distribution)
+
+
+def test_every_real_line_law_is_a_reflection():
+    classes = [c for _, c in inspect.getmembers(kappadist, inspect.isclass) if issubclass(c, Distribution)]
+    real = {c for c in classes if c.support_real_line}
+    assert {c.__name__ for c in real} == {"SymmetrizedDistribution", "KappaNormal", "KappaLogistic"}
+    assert all(issubclass(c, SymmetrizedDistribution) for c in real)
+    # the reflection writes the shares and the density; KappaLogistic only shifts them
+    assert not {"_cdf", "_survival", "_pdf", "_logpdf", "_pdf_tail_power"} & set(vars(KappaLogistic))
+    assert not {"_cdf", "_survival", "_logpdf", "raw_moment"} & set(vars(Distribution))
 
 
 TYPE5 = [Type5(n, 1.3, k) for n in (1, 2, 3) for k in (0.0, 0.3, 0.9)] + [

@@ -101,3 +101,15 @@ def test_share_against_mpmath(case, upper):
     bound = base + 8.0 * (1.0 + a + refs[keep, 2])
     worst = np.argmax(err - bound)
     assert err[worst] <= bound[worst], (ys[1:-1][keep][worst], err[worst], bound[worst])
+
+
+def test_deep_tail_next_to_a_pole():
+    # at nu = 1.07, k = 0.9 the Beta shape a = (1 - nu k)/2k is 0.021, and
+    # the deep-tail term s^a/(a B(a, nu)) carries a's relative error times
+    # a |log s| ~ 14: formed as 1/2k - nu/2, a cancels, and the share is 164 ulp
+    # off around u = 2^500
+    nu, k = 1.07, 0.9
+    ys = _ys(k)[-5:-1]
+    ref = np.array([_mp_shares(nu, k, y)[0] for y in ys])
+    got = _gamma_share(ys, nu, k, True)
+    assert np.all(np.abs(got - ref) <= 16.0 * np.spacing(ref)), np.abs(got - ref) / np.spacing(ref)

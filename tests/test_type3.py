@@ -156,6 +156,33 @@ class TestKappaLogistic:
         with pytest.raises(DomainError):
             KappaLogistic(1.0, 0.3).raw_moment(1)
 
+    @pytest.mark.parametrize("loc", [0.0, -1000.0])
+    @pytest.mark.parametrize("kappa", [0.0, 1e-310, 0.3, 0.9])
+    def test_is_the_reflection_of_type3(self, kappa, loc):
+        # exp_k(z) exp_k(-z) = 1: the cdf 1/(1 + E) mirrors the Type III
+        # survival 2E/(1 + E) at alpha = 1, lambda = 2, to the bit
+        d = KappaLogistic(1.3, kappa, loc=loc)
+        mirror = Type3(1.0, 1.3, 2.0, kappa).symmetrize()
+        x = loc + np.array([-1e300, -800.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 30.0, 720.0, 1e300])
+        x = np.append(x, [loc - 1e-12, loc + 1e-12, np.inf, -np.inf, np.nan])
+        for name in ("pdf", "logpdf", "cdf", "survival"):
+            got, want = getattr(d, name)(x), getattr(mirror, name)(x - loc)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert np.array_equal([getattr(d, name)(float(v)) for v in x], want, equal_nan=True), name
+
+    @pytest.mark.parametrize("p", [0.5 - 1e-10, 0.5 + 1e-10, 0.5 - 1e-6, 0.5 + 1e-6, 0.5 - 2.0**-54])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 0.9])
+    def test_quantile_near_the_median(self, kappa, p):
+        # the share beyond the median, 2p - 1 or 2p, is exact: a kappa-log of
+        # the rounded odds p/(1 - p) would keep only about eps/|p - 1/2| of it
+        with mpmath.workdps(40):
+            k, odds = mpmath.mpf(kappa), mpmath.mpf(p) / (1 - mpmath.mpf(p))
+            log_odds = mpmath.log(odds)
+            expect = float(log_odds if kappa == 0.0 else mpmath.sinh(k * log_odds) / k) / 1.3
+        d = KappaLogistic(1.3, kappa)
+        assert d.quantile(p) == pytest.approx(expect, rel=1e-15, abs=0.0)
+        assert d._quantile(np.array([p]), upper=True)[0] == pytest.approx(-expect, rel=1e-15, abs=0.0)
+
 
 def _mp_log_e(x, alpha, beta, kappa):
     """50-digit log kappa_exp(-beta x^alpha)."""
