@@ -36,6 +36,9 @@ _SUM_CLAMP = 2.0**16  # past x = y r = 2^16, s^a < exp(-2^15) underflows, also t
 # than one betainc, which takes it wherever it is no worse.
 _LOWER_ORDERS = 8
 _LOWER_TAIL = 2.0**-10  # below it the sum's lower share may lose over 10 bits
+# Integral orders up to this draw the Type I law from n exponentials: measured
+# on 20000 draws, past it they cost no less than the two Gamma draws of any nu.
+_DRAW_ORDERS = 9
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
@@ -69,6 +72,12 @@ def _one_minus(c, k):
     k_hi = 134217729.0 * k - (134217729.0 * k - k)
     c_lo, k_lo = c - c_hi, k - k_hi
     return (1.0 - c_hi * k_hi) - (c_hi * k_lo + c_lo * k_hi + c_lo * k_lo)
+
+
+def _mixture_shape(nu, k):
+    """a = 1/2k - nu/2 of the Type I law's Beta mixture, for a checked k > 0, as
+    (1 - nu k)/2k from the exact nu k, which 1/2k - nu/2 would cancel near nu = 1/k."""
+    return 0.5 * _one_minus(nu, k) / k
 
 
 def _rise(c, t):
@@ -240,8 +249,7 @@ def _beta_share(y, nu, k, upper):
     if k < KAPPA_SWITCH:
         return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
     u = np.atleast_1d(k * y)
-    # a = (1 - nu k)/2k from the exact nu k, which 1/2k - nu/2 would cancel near nu = 1/k
-    a = 0.5 * _one_minus(nu, k) / k
+    a = _mixture_shape(nu, k)
     w1 = (a + nu) / (2.0 * a + nu)
     log_beta = sp.betaln(a, nu)
     # log(1 - s) is -inf at y = 0, and NaN at y = inf, a deep-tail point
@@ -280,31 +288,59 @@ def _log_gamma_draw(gen, shape, size):
     shape 1 up, and log G_(shape+1) + log(U)/shape below it (Devroye 1986,
     IX.3), exact also where G itself underflows, at a tiny shape.  A zero G
     gives -inf."""
-    if shape >= 1.0:
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        if shape >= 1.0:
             return np.log(gen.standard_gamma(shape, size))
-    return np.log(gen.standard_gamma(shape + 1.0, size)) + np.log1p(-gen.random(size)) / shape
+        return np.log(gen.standard_gamma(shape + 1.0, size)) + np.log1p(-gen.random(size)) / shape
 
 
 def _gamma_share_log_draw(gen, size, nu, k):
     """log y for size draws of the law y^(nu-1) kappa_exp(-y)/M_k(nu).
 
     s decreases in y, so by _gamma_share's upper share s is a draw of the
-    Beta mixture w1 Beta(a, nu) + w2 Beta(a+1, nu) (composition, Devroye
-    1986): s = G_b/(G_b + G_nu) with b = a at probability w1, else a + 1,
-    each component's G_b drawn at its own scalar shape into its mask.
-    Then L = -log s = log1p(G_nu/G_b) and y = sinh(L/2)/k, so
-    log y = L/2 + log(-expm1(-L)) - log 2k, all from d = log G_nu - log G_b:
-    no G that underflows and no y that overflows is ever formed, and a zero
-    G gives d = -inf or inf, an end of the support.  At k = 0, and below
-    the smallest normal k, where 1/2k may overflow and the deformation is
-    far below rounding, y is the Gamma(nu) draw.
+    Beta mixture behind it (composition, Devroye 1986): Beta(b, nu), b = a
+    with probability w1 = (1 + nu k)/2, else b = a + 1; and y = sinh(L/2)/k,
+    L = -log s.  At an integral nu = n up to _DRAW_ORDERS, Beta(b, n) is the
+    product of the Beta(b + i, 1) = U^(1/(b+i)), i < n (Devroye 1986, IX.3-4),
+    so L = sum E_i/(b + i) from n standard exponentials; with b = a + c,
+    T = L/2k = sum E_i/(1 + (2(i + c) - n) k), each denominator from the
+    exact product, so no term divides by k or cancels next to the pole
+    n k = 1, and T is the Erlang draw sum E_i as k -> 0.  Then y = T sinh(z)/z,
+    z = kT, taken as log y = log(T (1 - e^-2z)/2z) + z, and as log T below
+    z = 2^-26, where sinh(z)/z is 1 to rounding and z may be subnormal; a
+    zero T gives -inf.  At any other nu, s = G_b/(G_b + G_nu) from two Gamma
+    draws, each component's G_b drawn at its own scalar shape into its mask;
+    then L = log1p(G_nu/G_b), so log y = L/2 + log(-expm1(-L)) - log 2k, all
+    from d = log G_nu - log G_b: no G that underflows and no y that overflows
+    is ever formed, and a zero G gives d = -inf or inf, an end of the
+    support.  At k = 0, and below the smallest normal k, where 1/2k may
+    overflow and the deformation is far below rounding, y is the Gamma(nu)
+    draw.
     """
     if k < _TINY:
         return _log_gamma_draw(gen, nu, size)
-    a = 0.5 / k - 0.5 * nu
-    w1 = (a + nu) / (2.0 * a + nu)
-    first = gen.random(size) < w1
+    first = gen.random(size) < 0.5 * (1.0 + nu * k)
+    if nu.is_integer() and nu <= _DRAW_ORDERS:
+        n = int(nu)
+        inv = 1.0 / np.array([_one_minus(n - 2 * j, k) for j in range(n + 1)])
+        # row c of t_c is T for that c; one matrix product makes both
+        t_c = np.stack((inv[:n], inv[1:])) @ gen.standard_exponential((n, size))
+        t = np.where(first, t_c[0], t_c[1])
+        # in place, as in _log_kexp_neg
+        z = k * t
+        minus_2z = -2.0 * z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.expm1(minus_2z)
+            ratio /= minus_2z
+            small = z < 2.0**-26
+            if np.count_nonzero(small):
+                ratio[small] = 1.0
+                z[small] = 0.0
+            t *= ratio
+            log_y = np.log(t, out=t)
+        log_y += z
+        return log_y
+    a = _mixture_shape(nu, k)
     n_first = np.count_nonzero(first)
     log_gb = np.empty(size)
     log_gb[first] = _log_gamma_draw(gen, a, n_first)

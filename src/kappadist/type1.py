@@ -15,7 +15,8 @@ regularized incomplete Beta functions
 (core._gamma_share; at integral nu <= 64 a finite sum of positive terms),
 so no quadrature is needed at evaluation time,
 and s is drawn exactly from the matching Beta mixture
-(core._gamma_share_log_draw), so sampling needs no quantile.  Type1
+(core._gamma_share_log_draw; at integral nu <= 9 from nu exponentials,
+else from two Gamma draws), so sampling needs no quantile.  Type1
 writes only this law of y; framework.PowerTransformed maps it to x, for
 either sign of alpha (alpha < 0 is the inverse-variable construction).
 """

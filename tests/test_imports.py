@@ -2,7 +2,7 @@
 shares at non-integral nu (and the lower one near the origin at integral
 nu >= 2) and by quadrature, scipy.integrate by quadrature.  Importing
 kappadist loads no scipy module, nor does fitting any family, a Type I
-share at nu = 1 or an upper Type I share at integral nu.
+share at nu = 1, an upper Type I share at integral nu or a Type I draw.
 
 The check runs in a fresh interpreter, since this process already holds
 scipy.integrate: pyproject.toml's warning filters name one of its classes.
@@ -79,6 +79,8 @@ def test_only_type1_shares_and_quadrature_load_scipy(tmp_path):
         ["eval", "--family", "type4", "--alpha", "1.5", *fam, *points],
         ["eval", "--family", "type5", "--n", "2", *fam, *points],
         ["sample", *type1, "--count", "100", "--seed", "3"],
+        # an integral nu draws from exponentials
+        ["sample", "--family", "type1", "--alpha", "1.5", "--nu", "3", *fam, "--count", "100", "--seed", "3"],
         ["sample", "--family", "type4", "--alpha", "1.5", *fam, "--count", "100", "--seed", "3"],
         ["sample", "--family", "type5", "--n", "3", *fam, "--count", "100", "--seed", "3"],
         ["tail", "--input", fits[1][-1], "--fraction", "0.05"],

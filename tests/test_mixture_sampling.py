@@ -1,13 +1,15 @@
 """Exact draws: the Beta mixture behind the Type I law (Type1, KappaErlang
-and KappaNormal) and its Gamma kernel, the Type V rejection in
-a = arcsinh(k beta x), each against inverse-transform draws and binned
-counts; the share of draws past the largest float; no family's draws run
-the quantile solver; and the families with a closed quantile (Type2,
-Type3, Type4, KappaLogistic), whose draws stay the inverse transform bit
-for bit."""
+and KappaNormal), taken at an integral nu up to core._DRAW_ORDERS from n
+exponentials and at any other nu from its Gamma kernel, and the Type V
+rejection in a = arcsinh(k beta x), each against inverse-transform draws
+and binned counts; the share of draws past the largest float; no family's
+draws run the quantile solver; and the families with a closed quantile
+(Type2, Type3, Type4, KappaLogistic), whose draws stay the inverse
+transform bit for bit."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -28,7 +30,8 @@ from kappadist import (
     as_generator,
 )
 from conftest import TYPE5_HIGH_ORDERS, mp_type5_ladder
-from kappadist.core import _gamma_share_log_draw, _log_gamma_draw
+from kappadist import core
+from kappadist.core import _DRAW_ORDERS, _gamma_share_log_draw, _log_gamma_draw
 
 N = 20000
 KS_COEF = 2.694  # Kolmogorov critical value at p ~ 1e-6: sqrt(ln(2/1e-6)/2)
@@ -79,6 +82,92 @@ def test_binned_chi_square(d):
     expect = n / bins
     chi2 = float(np.sum((counts - expect) ** 2) / expect)
     assert chi2 <= stats.chi2.isf(1e-6, bins - 1)
+
+
+def _integral_kappas(n):
+    """A vanishing kappa, a moderate one and one next to the pole n kappa = 1."""
+    return (1e-8, 0.3 if 0.3 * n < 1.0 else 0.5 / n, 1.0 / n - 1e-6)
+
+
+# the exponential route, its last order and the first order past it, which
+# takes the Gamma kernel; at beta = 1, since next to the pole most of the
+# mass lies past the largest float, where beta x overflows for a beta > 1
+INTEGRAL = [
+    *(KappaErlang(n, 1.0, k) for n in (1, 2, 5, _DRAW_ORDERS, _DRAW_ORDERS + 1) for k in _integral_kappas(n)),
+    KappaErlang(1, 1.3, 0.9),
+    Type1(-2.0, 1.3, 2.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("d", INTEGRAL, ids=repr)
+def test_integral_order_two_sample_ks(d):
+    draws = d.sample(N, 31)
+    reference = Distribution._draw(d, as_generator(32), N)
+    assert stats.ks_2samp(draws, reference).statistic <= KS_COEF * math.sqrt(2.0 / N)
+    assert np.unique(draws[np.isfinite(draws)]).size == np.count_nonzero(np.isfinite(draws))
+
+
+@pytest.mark.parametrize("d", INTEGRAL, ids=repr)
+def test_integral_order_binned_chi_square(d):
+    # up to 50 bins of equal probability below the largest float, each
+    # expecting at least 50 draws, and one bin for the draws past it: next
+    # to the pole most of the mass lies there
+    n = 400000
+    draws = d.sample(n, 5)
+    below, past = d.cdf(FLOAT_MAX), d.survival(FLOAT_MAX)
+    bins = int(min(50, n * below / 50.0))
+    edges = d.quantile(below * np.arange(1, bins) / bins)
+    finite = draws[np.isfinite(draws)]
+    counts = np.append(np.bincount(np.searchsorted(edges, finite), minlength=bins), n - finite.size)
+    expect = np.append(np.full(bins, n * below / bins), max(n * past, 1e-300))
+    chi2 = float(np.sum((counts - expect) ** 2 / expect))
+    assert chi2 <= stats.chi2.isf(1e-6, bins)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        KappaErlang(1, 1.0, 0.9974),  # 16% of the mass past the largest float
+        KappaErlang(2, 1.0, 0.4993),  # 14%
+        Type1(1.0, 1.0, float(_DRAW_ORDERS), 1.0 / _DRAW_ORDERS - 2e-5),  # 32% at nu = 9
+    ],
+    ids=repr,
+)
+def test_share_of_integral_order_draws_past_the_largest_float(d):
+    n = 200000
+    p = d.survival(FLOAT_MAX)
+    share = np.count_nonzero(np.isinf(d.sample(n, 9))) / n
+    assert abs(share - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+class _Fixed:
+    """A generator whose uniforms all read u and whose exponentials all read e."""
+
+    def __init__(self, u, e):
+        self.u, self.e = u, e
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+    def standard_exponential(self, size):
+        return np.full(size, self.e)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize(
+    "n, k",
+    [(1, 1e-300), (1, 0.3), (1, 1.0 - 1e-12), (2, 1e-9), (2, 0.5 - 1e-13), (3, 0.3), (9, 1.0 / 9.0 - 1e-12)],
+)
+@pytest.mark.parametrize("e", [1e-12, 1.0, 30.0])
+def test_exponential_route_against_mpmath(n, k, c, e):
+    # c = 0 where the uniform is below w1 = (1 + n k)/2: u = 0 takes it, u = 1 - 2^-53 the other
+    gen = _Fixed(0.0 if c == 0 else 1.0 - 2.0**-53, e)
+    log_y = _gamma_share_log_draw(gen, 4, float(n), k)
+    with mpmath.workdps(60):
+        kk = mpmath.mpf(k)
+        t = sum(mpmath.mpf(e) / (1 + (2 * (i + c) - n) * kk) for i in range(n))
+        ref = mpmath.log(mpmath.sinh(kk * t) / kk)
+    assert np.all(np.abs(log_y - float(ref)) <= 4.0 * 2.0**-52 * max(1.0, abs(float(ref))))
 
 
 @pytest.mark.parametrize(
@@ -284,13 +373,58 @@ class _ZeroGamma:
 @pytest.mark.parametrize("call, end", [(1, math.inf), (3, -math.inf)])
 def test_zero_gamma_draw_lands_on_an_end(call, end):
     # calls: G_a on the first component's mask, G_(a+1) on the rest, then G_nu;
-    # at nu = 1 and k = 0.3 every shape is at least 1, so G is drawn directly
+    # at nu = 1.5 and k = 0.3, a = 0.92: G_a is G_(a+1) U^(1/a), which a zero
+    # G_(a+1) makes zero, and the other two are drawn directly
     gen = _ZeroGamma(call)
-    log_y = _gamma_share_log_draw(gen, 64, 1.0, 0.3)
+    log_y = _gamma_share_log_draw(gen, 64, 1.5, 0.3)
     assert np.count_nonzero(np.isnan(log_y)) == 0
     assert end in log_y
-    x = Type1(1.5, 1.0, 1.0, 0.3)._draw(_ZeroGamma(call), 64)
+    x = Type1(1.5, 1.0, 1.5, 0.3)._draw(_ZeroGamma(call), 64)
     assert np.count_nonzero(np.isnan(x)) == 0 and (0.0 if end < 0.0 else math.inf) in x
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("nu", [1.0, 3.0])
+@pytest.mark.parametrize("k", [1e-300, 0.3])
+def test_zero_exponential_draws_land_on_the_origin(u, nu, k):
+    # at an integral nu, T = sum E_i/(1 + (2(i + c) - nu) k) is 0, so log y = -inf
+    assert np.all(_gamma_share_log_draw(_Fixed(u, 0.0), 8, nu, k) == -math.inf)
+    for alpha, end in ((1.5, 0.0), (-2.0, math.inf)):
+        assert np.all(Type1(alpha, 1.0, nu, k)._draw(_Fixed(u, 0.0), 8) == end)
+
+
+@pytest.mark.parametrize("nu, k", [(0.5, 0.3), (2.5, 0.39999999), (float(_DRAW_ORDERS + 1), 0.1 - 1e-13)])
+def test_gamma_route_shape_against_exact_rationals(nu, k, monkeypatch):
+    # a = (1 - nu k)/2k; 1/2k - nu/2 read 3.5e-9 relative off at (2.5, 0.39999999)
+    shapes = []
+
+    def record(gen, shape, size):
+        shapes.append(shape)
+        return _log_gamma_draw(gen, shape, size)
+
+    monkeypatch.setattr(core, "_log_gamma_draw", record)
+    _gamma_share_log_draw(as_generator(1), 100, nu, k)
+    exact = (1 - Fraction(nu) * Fraction(k)) / (2 * Fraction(k))
+    assert abs(Fraction(shapes[0]) - exact) <= Fraction(2.0**-52) * exact
+    assert shapes[1:] == [shapes[0] + 1.0, nu]
+
+
+# seeded draws at a non-integral nu, recorded while the Gamma kernel's shape
+# was formed as 1/2k - nu/2; formed from the exact nu k it moves by at most
+# a few ulp, and the draws with it
+PINNED = [
+    (KappaNormal(1.3, 0.3), [-0.3169808680828893, -0.3349836729898274, 0.028740559504087593, 0.24455408200227885, -0.3464424889775476]),
+    (Type1(1.5, 1.3, 0.5, 0.3), [0.21612785034935864, 0.23264739117990468, 0.008803599788070467, 0.1529325353400002, 0.24331835225634932]),
+    (Type1(-2.0, 1.3, 1.5, 0.3), [2.936925295819351, 0.44520976620921776, 0.8501651181640388, 1.3721825655981443, 1.3373102328199906]),
+    (KappaNormal(1.3, 0.6), [0.40132035090219553, -0.09982706643149321, 0.6587797080317838, 0.8656515221625826, -0.04361967236814292]),
+    (Type1(1.5, 1.3, 0.5, 0.6), [0.2960203567930346, 0.046308894325573315, 0.573218613794574, 0.8250066756313053, 0.015354765879666367]),
+    (Type1(-2.0, 1.3, 1.5, 0.6), [0.802400160124467, 0.9772383591085824, 0.03369625255375483, 0.07749934608445984, 0.6613383803643761]),
+]
+
+
+@pytest.mark.parametrize("d, ref", PINNED, ids=[repr(d) for d, _ in PINNED])
+def test_non_integral_draws_are_pinned(d, ref):
+    np.testing.assert_array_max_ulp(d.sample(5, 21), np.array(ref), maxulp=4)
 
 
 class TestQuantilePastTheLargestFloat:
