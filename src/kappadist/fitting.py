@@ -67,10 +67,10 @@ class Sample:
 
     @classmethod
     def from_file(cls, path, col=0):
-        """One value per line; CSV column selectable.  A first non-empty
-        line none of whose fields is a number is a header and is skipped
-        (``kappadist sample`` writes ``value``).  Parse failures name the
-        offending line number."""
+        """One value per line; CSV column col, counted from 0, selectable.
+        A first non-empty line none of whose fields is a number is a header
+        and is skipped (``kappadist sample`` writes ``value``).  Parse
+        failures name the offending line number."""
         rows = []
         first = True
         with open(path) as fh:
@@ -83,7 +83,7 @@ class Sample:
                     first = False
                     if not any(_is_number(f) for f in fields):
                         continue
-                if col >= len(fields):
+                if not 0 <= col < len(fields):
                     raise DomainError(
                         f"line {lineno}: column {col} missing ({len(fields)} columns)"
                     )
@@ -269,11 +269,11 @@ def fit_mle(family, sample, init=None, fix_kappa=None):
         return -ll
 
     theta0 = [math.log(start[name]) for name in positive]
-    kappa_seeds = (
-        [None]
-        if fix_kappa is not None
-        else [start.get("kappa")] if "kappa" in start else [0.05, 0.2, 0.4]
-    )
+    if fix_kappa is not None:
+        build(theta0)  # a kappa outside the family's domain is a DomainError, not a failed fit
+        kappa_seeds = [None]
+    else:
+        kappa_seeds = [start["kappa"]] if "kappa" in start else [0.05, 0.2, 0.4]
 
     best = None
     trace = []

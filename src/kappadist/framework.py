@@ -8,17 +8,17 @@ _quantile); a 0-d result comes back as a Python float.  pdf, logpdf,
 cdf, survival and hazard hand an array of more than _BLOCK points over
 in blocks of _BLOCK, so the working set of a call does not grow with
 the array.  The base class supplies the density from its log, the
-hazard as pdf/survival, quadrature moments, log-space Newton quantiles,
-inverse-transform draws (_draw) and the half-line -> real-line
-symmetrizer.  Only the families with a closed quantile draw by inverse
-transform: the Type I law draws from its Beta mixture and Type V by
-rejection, so no draw runs the solver.
+hazard as pdf/survival, quadrature moments, inverse-transform draws
+(_draw) and the half-line -> real-line symmetrizer.  Only the families
+with a closed quantile draw by inverse transform: the Type I law draws
+from its Beta mixture and Type V by rejection, so no draw runs a solver.
 The density's powers at its two ends decide a pole of the mode, the
 far-tail hazard, the quadrature hints and every moment window.
 On a half line x < 0 gives pdf 0, cdf 0 and survival 1 before any
 family code runs.  Every law is one of two kinds.  PowerTransformed
 carries the change of variables Y = beta X^alpha, with its shares,
-density, quantiles, draws and moments, for every half-line family
+density, quantiles (log-space Newton steps on Y where it has no closed
+inverse), draws and moments, for every half-line family
 (Type1 to Type5), each of which writes only the law of Y.
 SymmetrizedDistribution reflects a half-line law onto the real line
 (symmetrize(), KappaNormal and KappaLogistic).
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _MAX_ITER = 200  # of the quantile solver and of the mode's Newton steps
-_FIRST_STEP = 4.0  # longest first step in log x; the cap doubles each iteration
+_FIRST_STEP = 4.0  # longest first step in log x, |alpha| times it in log y; the cap doubles
 _STEP_TOL = 4.0 * np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max  # a quantile past it reads inf
 _EDGE = 8.0 * float(np.finfo(float).eps)  # rounding of a moment bound from the end powers
@@ -204,10 +204,6 @@ class Distribution:
 
     # -- quantiles and sampling ---------------------------------------------
 
-    def _quantile_scale(self):
-        """Rough scale of the distribution, used to seed brackets."""
-        return 1.0
-
     def quantile(self, p):
         """Inverse cdf; DomainError unless 0 <= p < 1 (0 < p < 1 on the real line)."""
         parr = np.asarray(p, dtype=float)
@@ -215,86 +211,6 @@ class Distribution:
         if not (((parr > 0.0) if real else (parr >= 0.0)) & (parr < 1.0)).all():
             raise DomainError(f"quantile requires 0 {'<' if real else '<='} p < 1")
         return _maybe_item(self._quantile(parr))
-
-    def _quantile(self, p, upper=False):
-        """x with cdf(x) = p, or with survival(x) = p (upper), elementwise:
-        the log-space solver on the cdf where it is below 1/2, else on the
-        survival, the other share 1 - p being exact from 1/2 on, so both tails
-        keep their relative precision; p = 0 is the end of the support."""
-        flat = p.reshape(-1)
-        out = np.full(flat.shape, math.inf if upper else 0.0)
-        on_cdf = (flat > 0.5) if upper else (flat < 0.5)
-        inside = flat > 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for side, tail in ((on_cdf & inside, False), (~on_cdf & inside, True)):
-                if np.count_nonzero(side):
-                    q = flat[side]
-                    out[side] = self._solve_quantile(np.log(q if tail == upper else 1.0 - q), tail)
-        return out.reshape(p.shape)
-
-    def _solve_quantile(self, target, upper):
-        """x with log survival(x) (upper) or log cdf(x) = target, elementwise.
-
-        With F the survival or the cdf, log F(e^t) is monotone in t = log x
-        with slope -/+ x pdf / F, so a Newton step costs one F and one pdf
-        call.  Each element keeps its own bracket in t, opened at the
-        exponential law's quantile at the family's scale and grown
-        geometrically until it holds the root.  A step that is not finite,
-        leaves the bracket or exceeds the growth cap becomes a bisection
-        step (or a growth step while the bracket is open).  An element is
-        done when its step is a few ulp of t, or its bracket is that narrow.
-        A root past the largest float converges onto it, so a result within
-        a factor 2 of it is inf where the share there falls short of the
-        target.
-        """
-        tail_fn = self.survival if upper else self.cdf
-        goal = target
-        out = np.empty(target.shape)
-        idx = np.arange(target.size)
-        log_s = target if upper else np.log1p(-np.exp(target))
-        t = math.log(self._quantile_scale()) + np.log(-log_s)
-        lo = np.full(target.shape, -np.inf)
-        hi = np.full(target.shape, np.inf)
-        cap = _FIRST_STEP
-        for _ in range(_MAX_ITER):
-            x = np.exp(t)
-            # a family call on one 0-d value costs half of a 1-element one
-            xs = x[0] if x.size == 1 else x
-            tail = tail_fn(xs)
-            # r increases with t on both sides
-            r = target - np.log(tail) if upper else np.log(tail) - target
-            np.copyto(lo, t, where=r < 0.0)
-            np.copyto(hi, t, where=r > 0.0)
-            # d(log F)/dt = x pdf / F; no step at an exact root, where the pdf may underflow
-            step = np.where(r == 0.0, 0.0, r * tail / (xs * self.pdf(xs)))
-            tn = t - step
-            size = np.abs(step)
-            tol = _STEP_TOL * (np.abs(t) + 1.0)
-            done = size <= tol
-            inside = done | ((tn > lo) & (tn < hi) & (size <= cap))
-            if np.count_nonzero(inside) < inside.size:
-                mid = 0.5 * (lo + hi)
-                grow = np.where(r < 0.0, t + cap, t - cap)
-                tn = np.where(inside, tn, np.where(np.isfinite(mid), mid, grow))
-                done |= hi - lo <= tol
-            cap *= 2.0
-            if np.count_nonzero(done):
-                out[idx[done]] = np.exp(tn[done])
-                keep = ~done
-                if not np.count_nonzero(keep):
-                    break
-                idx, tn, lo, hi, target = (a[keep] for a in (idx, tn, lo, hi, target))
-            t = tn
-        else:
-            raise NoConvergenceError(
-                f"quantile solver did not converge in {_MAX_ITER} iterations"
-            )
-        big = out >= 0.5 * _FLOAT_MAX
-        if np.count_nonzero(big):
-            log_end = np.log(tail_fn(_FLOAT_MAX))
-            beyond = log_end > goal[big] if upper else log_end < goal[big]
-            out[big] = np.where(beyond, math.inf, np.minimum(out[big], _FLOAT_MAX))
-        return out
 
     def sample(self, size, rng):
         """size exact i.i.d. draws; rng is caller supplied."""
@@ -417,7 +333,7 @@ class PowerTransformed(Distribution):
 
     A family writes the law of Y only: _y_share(y, upper), the share of
     Y above y (upper) or below it; y pdf_Y(y) = y^w g(y) with w =
-    _y_power and log g = _y_log_regular(y), which may overwrite y; and
+    _y_power and log g = _y_log_regular(y); and
     _y_ends() = ((n0, d0, log c0), (n1, d1, log c1)) with y pdf_Y(y) ~
     c y^(n/d) as y -> 0 and as y -> inf, None for an end beyond every
     power; and _y_slope(log y) = (S, dS/d log y) with S = d log(y pdf_Y)/
@@ -431,11 +347,11 @@ class PowerTransformed(Distribution):
     below it, and _y_log_moment(r) = log <Y^r> (None: quadrature) give the
     quantile and <X^m> = beta^(-r) <Y^r>, r = m/alpha; _y_log_draw(gen,
     size), log y for size draws of Y, gives the draws
-    x = exp((log y - log beta)/alpha).
+    x = exp((log y - log beta)/alpha).  By default _y_invert runs the
+    solver, _y_solve.  No _y_* hook writes into its argument.
     """
 
-    _y_invert = None  # the law of Y has no closed inverse: the solver runs on X
-    _y_log_draw = None  # nor a direct sampler: draws invert uniforms
+    _y_log_draw = None  # the law of Y has no direct sampler: draws invert uniforms
 
     def __init__(self, alpha, beta, kappa):
         self.kappa = check_kappa(kappa)
@@ -459,11 +375,94 @@ class PowerTransformed(Distribution):
             return self._y_share(self._y(x), upper=self.alpha > 0.0)
 
     def _quantile(self, p, upper=False):
-        if self._y_invert is None:
-            return super()._quantile(p, upper)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = self._y_invert(p, upper != (self.alpha < 0.0))
             return np.power(y / self.beta, 1.0 / self.alpha)
+
+    def _y_invert(self, share, upper):
+        """y with that share of Y above it (upper) or below it, elementwise:
+        the log-space solver on the lower share where it is below 1/2, else
+        on the upper one, the other share 1 - p being exact from 1/2 on, so
+        both tails keep their relative precision; a share of 0 is an end."""
+        out = np.full(share.shape, math.inf if upper else 0.0)
+        on_lower = (share > 0.5) if upper else (share < 0.5)
+        inside = share > 0.0
+        for side, tail in ((on_lower & inside, False), (~on_lower & inside, True)):
+            if np.count_nonzero(side):
+                q = share[side]
+                out[side] = self._y_solve(np.log(q if tail == upper else 1.0 - q), tail)
+        return out
+
+    def _y_solve(self, target, upper):
+        """y with log F(y) = target, elementwise, F the share of Y above y
+        (upper) or below it, by Newton steps in t = log y: log F has the slope
+        -/+ y pdf_Y/F = exp(w t + log g(y))/F, so a step costs one _y_share
+        and one _y_log_regular call.  Each element keeps its own bracket in t,
+        opened at t = alpha log(-log S), S the share of X above x (X at the
+        exponential law's quantile), and grown geometrically from a first step
+        of _FIRST_STEP |alpha|: Newton's method being affine invariant, these
+        are the steps in log x from that start.  A step that is not finite,
+        leaves the bracket or exceeds the growth cap becomes a bisection step
+        (a growth step while the bracket is open).  An element is done when
+        its step is a few ulp of t, its bracket is that narrow, or F is flat
+        to rounding: the residual did not move and the next step is below
+        2^-26 (|t| + 1).  A root past the largest float converges onto it, so
+        a result within a factor 2 of it is inf where the share there falls
+        short of the target."""
+        share = functools.partial(self._y_share, upper=upper)
+        w = self._y_power
+        goal = target
+        out = np.empty(target.shape)
+        idx = np.arange(target.size)
+        log_sx = target if upper == (self.alpha > 0.0) else np.log1p(-np.exp(target))
+        t = self.alpha * np.log(-log_sx)
+        lo = np.full(target.shape, -np.inf)
+        hi = np.full(target.shape, np.inf)
+        r_last = math.nan
+        cap = _FIRST_STEP * abs(self.alpha)
+        for _ in range(_MAX_ITER):
+            y = np.exp(t)
+            # a hook call on one 0-d value costs half of a 1-element one
+            ys = y[0] if y.size == 1 else y
+            f = self._on_support(share, ys, 0.0)
+            # r increases with t on both sides
+            r = target - np.log(f) if upper else np.log(f) - target
+            np.copyto(lo, t, where=r < 0.0)
+            np.copyto(hi, t, where=r > 0.0)
+            # no step at an exact root, where the density may underflow
+            log_g = self._on_support(self._y_log_regular, ys, -math.inf)
+            step = np.where(r == 0.0, 0.0, r * f / np.exp(w * t + log_g))
+            tn = t - step
+            size = np.abs(step)
+            tol = _STEP_TOL * (np.abs(t) + 1.0)
+            done = size <= tol
+            stalled = r == r_last
+            if np.count_nonzero(stalled):  # done where the step is below 2^-26 (|t| + 1)
+                done |= stalled & (size <= 2.0**24 * tol)
+            inside = done | ((tn > lo) & (tn < hi) & (size <= cap))
+            if np.count_nonzero(inside) < inside.size:
+                mid = 0.5 * (lo + hi)
+                grow = np.where(r < 0.0, t + cap, t - cap)
+                tn = np.where(inside, tn, np.where(np.isfinite(mid), mid, grow))
+                done |= hi - lo <= tol
+            cap *= 2.0
+            if np.count_nonzero(done):
+                out[idx[done]] = np.exp(tn[done])
+                keep = np.flatnonzero(~done)  # an index gathers faster than a mask
+                if not keep.size:
+                    break
+                idx, tn, lo, hi, target, r = (a[keep] for a in (idx, tn, lo, hi, target, r))
+            t, r_last = tn, r
+        else:
+            raise NoConvergenceError(
+                f"quantile solver did not converge in {_MAX_ITER} iterations"
+            )
+        big = out >= 0.5 * _FLOAT_MAX
+        if np.count_nonzero(big):
+            log_end = np.log(self._on_support(share, _FLOAT_MAX, 0.0))
+            beyond = log_end > goal[big] if upper else log_end < goal[big]
+            out[big] = np.where(beyond, math.inf, np.minimum(out[big], _FLOAT_MAX))
+        return out
 
     def _draw(self, gen, size):
         if self._y_log_draw is None:

@@ -245,6 +245,21 @@ class TestFitAndTail:
         code, _, _ = invoke(["fit", "--family", "type2", "--input", "/no/such"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("col", ["-1", "-3"])
+    def test_negative_column_is_a_usage_error(self, datafile, capsys, col):
+        for argv in (["tail"], ["fit", "--family", "type2"]):
+            code, out, err = invoke([*argv, "--input", datafile, "--col", col], capsys)
+            assert code == 2 and out == ""
+            assert f"column {col} missing" in err
+
+    @pytest.mark.parametrize("family, kappa", [("type2", "1.5"), ("type2", "nan"), ("type2", "-0.1"), ("type4", "0")])
+    def test_fixed_kappa_outside_the_domain_exits_3(self, datafile, capsys, family, kappa):
+        code, out, err = invoke(
+            ["fit", "--family", family, "--input", datafile, "--fix-kappa", kappa], capsys
+        )
+        assert code == 3 and out == ""
+        assert "domain error" in err
+
 
 def run_console_script(*args):
     """Run the ``kappadist`` console script declared in ``pyproject.toml`` as

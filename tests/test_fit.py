@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from kappadist import (
+    DegenerateFamilyError,
     DomainError,
     FitNonConvergenceError,
     InsufficientTailPointsError,
@@ -61,6 +62,14 @@ class TestSample:
             Sample.from_file(str(f), col=2)
 
 
+    @pytest.mark.parametrize("col", [-1, -3])
+    def test_from_file_rejects_a_negative_column(self, tmp_path, col):
+        f = tmp_path / "cols.csv"
+        f.write_text("a,1.5\nb,2.5\n")
+        with pytest.raises(DomainError, match=f"line 1: column {col} missing"):
+            Sample.from_file(str(f), col=col)
+
+
 class TestFitMle:
     def test_recovers_type2_parameters(self):
         true = Type2(2.0, 1.0, 0.3)
@@ -89,6 +98,22 @@ class TestFitMle:
             scale, rel=1e-3
         )
         assert res.params["kappa"] == 0.0
+
+    @pytest.mark.parametrize(
+        "family, kappa, error",
+        [
+            ("type2", 1.5, DomainError),
+            ("type2", math.nan, DomainError),
+            ("type2", -0.1, DomainError),
+            ("type4", 0.0, DegenerateFamilyError),
+            ("type5", 0.5, UnsupportedOrderError),  # outside order 4's window kappa < 1/2
+        ],
+    )
+    def test_fixed_kappa_outside_the_domain_is_a_domain_error(self, family, kappa, error):
+        data = Sample(Type2(1.5, 1.0, 0.2).sample(500, 7))
+        init = {"n": 4} if family == "type5" else None
+        with pytest.raises(error):
+            fit_mle(family, data, init=init, fix_kappa=kappa)
 
     def test_classical_data_yields_small_kappa(self):
         # kappa enters the density only through kappa^2, so the estimate

@@ -12,6 +12,7 @@ from scipy import stats
 from kappadist import (
     Distribution,
     KappaErlang,
+    KappaNormal,
     NoConvergenceError,
     Type1,
     Type2,
@@ -19,6 +20,7 @@ from kappadist import (
     Type4,
     Type5,
 )
+from kappadist.framework import as_generator
 from conftest import ks_statistic
 
 N = 20000
@@ -154,25 +156,45 @@ class TestExtremeTailAndScalarPath:
         assert d.quantile(np.array([])).shape == (0,)
 
 
-class _BrokenCdf(Distribution):
-    """A cdf that is NaN everywhere: no root exists."""
+class _NanShare(Type1):
+    """A law of Y whose share is NaN everywhere: no root exists."""
 
-    def cdf(self, x):
-        return np.full(np.shape(x), np.nan)
-
-    def survival(self, x):
-        return np.full(np.shape(x), np.nan)
-
-    def pdf(self, x):
-        return np.ones(np.shape(x))
-
-    def get_params(self):
-        return {}
+    def _y_share(self, y, upper):
+        return np.full(np.shape(y), np.nan)
 
 
 def test_unconverged_quantile_raises():
     with pytest.raises(NoConvergenceError):
-        _BrokenCdf().quantile(np.array([0.2, 0.7]))
+        _NanShare(1.5, 1.0, 1.0, 0.3).quantile(np.array([0.2, 0.7]))
+
+
+class TestShareFlatToRounding:
+    """At non-integral nu and kappa <= 1e-3 the betainc share is up to
+    ~1.2e4 ulp off 40-digit mpmath (2.7e-12 relative for the half-normal
+    law at kappa = 1e-4) and rounds into plateaus, where a Newton step can
+    stay above the step tolerance while the residual no longer moves: the
+    solver ends there rather than raise."""
+
+    FLAT = [KappaNormal(1.0, 1e-4), Type1(1.5, 1.3, 0.5, 2e-4)]
+    SHARE_ERR = 2e4 * np.finfo(float).eps
+
+    def test_known_stalls_converge(self):
+        d = KappaNormal(1.0, 1e-4)
+        assert np.all(np.isfinite(d.quantile(np.random.default_rng(0).random(1000))))
+        assert d.quantile(0.12740300904890633) < 0.0
+        assert Type1(1.5, 1.3, 0.5, 2e-4).quantile(0.7687717599091665) > 0.0
+        assert np.all(np.isfinite(Distribution._draw(d, as_generator(5), N)))
+
+    @pytest.mark.parametrize("d", FLAT, ids=repr)
+    def test_round_trip_within_the_share_error(self, d):
+        p = np.random.default_rng(1).random(10000)
+        x = d.quantile(p)
+        low = p < 0.5  # each share where it keeps its relative precision
+        got = np.where(low, d.cdf(x), d.survival(x))
+        want = np.where(low, p, 1.0 - p)
+        assert np.all(np.abs(got - want) <= self.SHARE_ERR * want)
+        for pe, xe in zip(p[:200], x[:200]):
+            assert d.quantile(float(pe)) == xe
 
 
 class TestLowerTailEvaluation:

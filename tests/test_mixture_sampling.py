@@ -32,6 +32,7 @@ from kappadist import (
 from conftest import TYPE5_HIGH_ORDERS, mp_type5_ladder
 from kappadist import core
 from kappadist.core import _DRAW_ORDERS, _gamma_share_log_draw, _log_gamma_draw
+from kappadist.framework import PowerTransformed
 
 N = 20000
 KS_COEF = 2.694  # Kolmogorov critical value at p ~ 1e-6: sqrt(ln(2/1e-6)/2)
@@ -194,7 +195,7 @@ def test_no_solver_behind_the_draws(d, monkeypatch):
     def refuse(self, target, upper):
         raise AssertionError("sampling ran the quantile solver")
 
-    monkeypatch.setattr(Distribution, "_solve_quantile", refuse)
+    monkeypatch.setattr(PowerTransformed, "_y_solve", refuse)
     draws = d.sample(1000, 3)
     assert draws.shape == (1000,) and np.all(np.isfinite(draws))
 
@@ -242,7 +243,7 @@ def test_no_family_samples_through_the_solver(d, monkeypatch):
     def refuse(self, target, upper):
         raise AssertionError("sampling ran the quantile solver")
 
-    monkeypatch.setattr(Distribution, "_solve_quantile", refuse)
+    monkeypatch.setattr(PowerTransformed, "_y_solve", refuse)
     draws = d.sample(2000, 3)
     assert draws.shape == (2000,) and np.count_nonzero(np.isnan(draws)) == 0
 

@@ -17,6 +17,7 @@ import pytest
 import kappadist
 from conftest import TYPE5_HIGH_ORDERS, mp_type5_ladder
 from kappadist import Distribution, KappaErlang, Type1, Type2, Type3, Type4, Type5, oracle
+from kappadist.framework import PowerTransformed
 
 ALPHAS = (0.2, 0.5, 1.0, 2.5, -0.2, -0.5, -1.0, -2.5)
 KAPPAS = (0.0, 0.3, 0.5, 0.9)
@@ -115,7 +116,7 @@ def test_mode_needs_no_search_and_no_quantile(monkeypatch):
         raise AssertionError("mode must not search or invert")
 
     monkeypatch.setattr(oracle, "argmax", forbidden)
-    monkeypatch.setattr(Distribution, "_solve_quantile", forbidden)
+    monkeypatch.setattr(PowerTransformed, "_y_solve", forbidden)
     kinds = {d.mode().kind for d in GRID_OBJECTS}
     assert kinds == {"pole", "monotone", "interior"}
 

@@ -1,7 +1,9 @@
-"""One inverse hook: Distribution._quantile(p, upper) gives the x with
-cdf p, or with survival p.  PowerTransformed maps a closed inverse of the
-law of Y to X (the solver runs only where Y has none), and a symmetrized
-law asks its half for the share beyond the median, from either side."""
+"""One inverse hook: _quantile(p, upper) gives the x with cdf p, or with
+survival p.  PowerTransformed maps the inverse of the law of Y,
+_y_invert(share, upper), to X: a family's closed inverse, or by default
+the log-space solver run on the law of Y through its private hooks.  A
+symmetrized law asks its half for the share beyond the median, from
+either side."""
 
 import inspect
 import math
@@ -51,7 +53,7 @@ def test_closed_half_never_enters_the_solver(d, monkeypatch):
     def refuse(self, target, upper):
         raise AssertionError("the solver ran for a closed-form half")
 
-    monkeypatch.setattr(Distribution, "_solve_quantile", refuse)
+    monkeypatch.setattr(PowerTransformed, "_y_solve", refuse)
     p = np.concatenate([[2.0**-64, 1e-9, 0.25], np.linspace(0.01, 0.99, 25), [0.5, 1.0 - 2.0**-53]])
     sym = d.symmetrize()
     x = sym.quantile(p)
@@ -153,9 +155,12 @@ def test_one_inverse_hook():
     classes = [c for _, c in inspect.getmembers(kappadist, inspect.isclass) if issubclass(c, Distribution)]
     classes += [PowerTransformed, SymmetrizedDistribution]
     assert {c.__name__ for c in classes if "quantile" in vars(c)} == {"Distribution"}
-    assert {c.__name__ for c in classes if callable(vars(c).get("_y_invert"))} == {"Type3", "Type4"}
+    assert {c.__name__ for c in classes if callable(vars(c).get("_y_invert"))} == {
+        "PowerTransformed",
+        "Type3",
+        "Type4",
+    }
     assert {c.__name__ for c in classes if "_quantile" in vars(c)} == {
-        "Distribution",
         "PowerTransformed",
         "SymmetrizedDistribution",
         "KappaLogistic",
@@ -163,4 +168,66 @@ def test_one_inverse_hook():
     for c in classes:
         if issubclass(c, PowerTransformed) and c is not PowerTransformed:
             assert not {"quantile", "_quantile", "raw_moment"} & set(vars(c)), c.__name__
-    assert "_solve_quantile" not in inspect.getsource(SymmetrizedDistribution)
+    assert "_y_solve" not in inspect.getsource(SymmetrizedDistribution)
+
+
+# -- the hooks the solver runs on ------------------------------------------------
+
+
+def _every_power_transformed():
+    for k in (0.0, 5e-324, 1e-310, 0.3, 0.9):
+        for a in (1.5, -1.5):
+            yield Type1(a, 1.3, 0.5, k)
+            yield Type2(a, 1.3, k)
+            yield Type3(a, 1.3, 0.5, k)
+            yield Type3(a, 1.3, 2.0, k)
+            if k >= 1e-3 and a > 0.0:
+                yield Type4(a, 1.3, k)
+        for n in (1, 2, 3, 5):
+            if k * (n - 2) < 1.0:
+                yield Type5(n, 1.3, k)
+        if k < 1.0 / 3.0:
+            yield KappaErlang(3, 1.3, k)
+
+
+@pytest.mark.parametrize("d", list(_every_power_transformed()), ids=repr)
+def test_no_y_hook_writes_into_its_argument(d):
+    y = np.array([0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 3.0, 1e10, 1e300, np.inf])
+    share = np.array([0.0, 1e-300, 1e-9, 0.3, 0.5, 0.7, 1.0 - 1e-9])
+    with np.errstate(all="ignore"):
+        for hook, arg in (
+            (lambda v: d._y_share(v, False), y),
+            (lambda v: d._y_share(v, True), y),
+            (d._y_log_regular, y),
+            (lambda v: d._y_invert(v, False), share),
+            (lambda v: d._y_invert(v, True), share),
+        ):
+            before = arg.copy()
+            hook(arg)
+            assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+
+
+SOLVED = [
+    Type1(1.5, 1.3, 0.5, 0.3),
+    Type1(-1.5, 1.3, 0.5, 0.3),
+    KappaErlang(3, 1.3, 0.3),
+    KappaNormal(1.3, 0.3),
+    Type5(5, 1.3, 0.2),
+]
+
+
+@pytest.mark.parametrize("d", SOLVED, ids=repr)
+def test_solver_calls_no_public_method(d, monkeypatch):
+    p = np.array([1e-300, 2.0**-64, 1e-9, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0**-53])
+    expect = d.quantile(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quantile solver left the hooks of the law of Y")
+
+    for name in ("cdf", "survival", "pdf", "logpdf"):
+        monkeypatch.setattr(Distribution, name, refuse)
+    monkeypatch.setattr(PowerTransformed, "_y", refuse)
+    got = d.quantile(p)
+    assert np.array_equal(got, expect)
+    for pe, xe in zip(p, got):
+        assert d.quantile(float(pe)) == xe
