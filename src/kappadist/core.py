@@ -24,16 +24,18 @@ from .errors import DomainError
 # shares; their deformed/classical difference is O(kappa^2).
 KAPPA_SWITCH = 1e-4
 
-# Past this u = kappa y the share's s = r^2 is below 2^-1000 (and u*u
-# overflows soon after): the leading incomplete-Beta term is exact there.
+# Past this u = kappa y the share's s = r^2 is below 2^-1000 and soon
+# underflows; the far series of _beta_share keeps its digits there.
 _DEEP_TAIL = 2.0**500
+# Terms of each tail series of the incomplete Beta function in _beta_share.
+_SERIES_TERMS = 24
 
 # Integral orders up to this take the Type I upper share as a finite sum, at
 # every kappa; past it x^(n-1) at _SUM_CLAMP would overflow.
 _SUM_ORDERS = 64
 _SUM_CLAMP = 2.0**16  # past x = y r = 2^16, s^a < exp(-2^15) underflows, also times x^63
 # Past this order the sum's lower share loses over 10 bits and costs more
-# than one betainc, which takes it wherever it is no worse.
+# than one betainc; _beta_share takes it wherever that is no worse.
 _LOWER_ORDERS = 8
 _LOWER_TAIL = 2.0**-10  # below it the sum's lower share may lose over 10 bits
 # Integral orders up to this draw the Type I law from n exponentials: measured
@@ -227,60 +229,110 @@ def _gamma_share(y, nu, k, upper):
     return out.reshape(shape)
 
 
-def _beta_share(y, nu, k, upper):
-    """_gamma_share from one incomplete Beta function per point.
+@functools.lru_cache(maxsize=256)
+def _beta_series(nu, k):
+    """(a, w2, log(a B(a, nu)), the near and the far series' coefficients, and
+    y_near <= y_mean <= y_far) of _beta_share, at a k >= KAPPA_SWITCH.
 
-    Below the mean a/(a + nu) of the Beta(a, nu) law of s the lower share is
-    the complement of the upper one; above it the lower share is w1
-    I_(1-s)(nu, a) + w2 I_(1-s)(nu, a+1), with 1 - s = 2 u r exact, and the
-    upper one its complement, so each side keeps its relative precision in
-    its own tail.  Each side takes one incomplete Beta function: with L =
-    s^a (1-s)^nu/(a B(a, nu)), DLMF 8.17.20 gives I_s(a+1, nu) = I_s(a, nu)
-    - L and I_(1-s)(nu, a+1) = I_(1-s)(nu, a) + L, so the upper share is
-    I_s(a, nu) - w2 L and the lower one I_(1-s)(nu, a) + w2 L.  L is taken
-    from log s = 2 log r and log(1 - s) = log(2 u r); the lower share is a
-    sum of positive terms, and since I_s(a+1, nu) >= 0 and w2 < 1/2 the
-    upper one loses at most one bit to the subtraction.  Past u = 2^500,
-    where s underflows, the leading term s^a/(a B(a, nu)) of I_s(a, nu) is
-    exact and is taken with log s = -2 arcsinh(u).  Below KAPPA_SWITCH the
+    Past the last term kept, N = _SERIES_TERMS, the terms e_j x^j of a series
+    fall at a ratio of at most q x, q = max(1, (b + c + N)/(b + 1 + N)), so
+    its last point is the x, found by bisection, where that tail's bound
+    e_N x^N/(1 - q x) reaches 2^-54 e_0, the least the sum can be.  The near
+    series runs from y = 0 to y_near, where z reaches its last point or s the
+    Beta mean a/(a + nu) (at y_mean), and the far one from y_far, where s
+    falls to its last point or to the mean, to y = inf; a given s is reached
+    at y = (1 - s)/(2k sqrt(s)).  log(a B(a, nu)) is betaln's below a = 10,
+    which keeps its digits at a pole a -> 0, and past it _log_mellin_ratio's
+    Stirling form, from a B(a, nu) = M_k(nu) (2k)^(nu-1) (1 - nu k)(1 + nu k).
+    """
+    a, mean, n = _mixture_shape(nu, k), _one_minus(nu, k) / (1.0 + nu * k), _SERIES_TERMS
+    w2 = a * k  # a/(2a + nu), as 2a + nu = 1/k
+    if a < 10.0:
+        log_al = math.log(a) + _special().betaln(a, nu)
+    else:
+        log_al = math.lgamma(nu) + _log_mellin_ratio(nu, k) + (nu - 1.0) * math.log(2.0 * k)
+        log_al += math.log(_one_minus(nu, k) * (1.0 + nu * k))
+    ends, coefs = [], []
+    # near: I_z(nu, a) + w2 L = L (a/nu + w2 + (a/nu) sum_(j>=1) d_j z^j), d_j =
+    # (nu+a)_j/(nu+1)_j; far: I_s(a, nu) - w2 L = L (1 - w2 + sum_(j>=1) c_j s^j),
+    # c_j = (a+nu)_j/(a+1)_j (DLMF 8.17.8)
+    for b, c, scale, first, side in ((nu, a, a / nu, a / nu + w2, 1.0 - mean), (a, nu, 1.0, 1.0 - w2, mean)):
+        e = [first, scale * (b + c) / (b + 1.0)]
+        for j in range(1, n):
+            e.append(e[-1] * (b + c + j) / (b + 1.0 + j))
+        q, lo, hi = max(1.0, (b + c + n) / (b + 1.0 + n)), 0.0, side
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if e[n] * mid**n <= 2.0**-54 * e[0] * (1.0 - q * mid) else (lo, mid)
+        ends.append(lo)
+        coefs.append(e[:n])
+    y_mean = (1.0 - mean) / (2.0 * k * math.sqrt(mean))
+    y_near = ends[0] / (2.0 * k * math.sqrt(1.0 - ends[0]))
+    y_far = (1.0 - ends[1]) / (2.0 * k * math.sqrt(ends[1])) if ends[1] else math.inf
+    return a, w2, log_al, *coefs, min(y_near, y_mean), y_mean, max(y_far, y_mean)
+
+
+def _beta_share(y, nu, k, upper):
+    """_gamma_share from a tail series of the incomplete Beta function on each
+    side, and one incomplete Beta function per point between the two.
+
+    Below the mean of the Beta(a, nu) law of s the upper share is taken and
+    the lower one is its complement; above it the lower share, w1 I_z(nu, a)
+    + w2 I_z(nu, a+1), z = 1 - s = 2 u r exact, and the upper one its
+    complement, so each side keeps its relative precision in its own tail.
+    With L = s^a z^nu/(a B(a, nu)), DLMF 8.17.20 makes the upper share
+    I_s(a, nu) - w2 L and the lower one I_z(nu, a) + w2 L; DLMF 8.17.8 makes
+    each L times a series of positive terms in s or z, summed out to where
+    the terms left out are below 2^-54 of it (_beta_series), and scipy's
+    betainc takes I between the two (w2 < 1/2, so the upper share loses at
+    most one bit to the subtraction).  L is taken from a log s = -2a
+    arcsinh(u), exact also where s underflows (past u = _DEEP_TAIL), r =
+    1/(hypot(1, u) + u), which forms no u^2, and on the far side log z =
+    -log1p(r/2u), which keeps its digits as z -> 1.  A 0-d y is taken in
+    numpy's float64 scalars, to the same bits.  Below KAPPA_SWITCH the
     classical regularized Gamma shares are used.
     """
     sp = _special()
     if k < KAPPA_SWITCH:
         return sp.gammaincc(nu, y) if upper else sp.gammainc(nu, y)
-    u = np.atleast_1d(k * y)
-    a = _mixture_shape(nu, k)
-    w1 = (a + nu) / (2.0 * a + nu)
-    log_beta = sp.betaln(a, nu)
-    # log(1 - s) is -inf at y = 0, and NaN at y = inf, a deep-tail point
-    # that is replaced below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = 1.0 / (np.sqrt(1.0 + u * u) + u)
-        one_s = 2.0 * u * r
-        # w2 L = s^a (1-s)^nu/((2a + nu) B(a, nu)), w2 = a/(2a + nu)
-        w2_l = np.log(one_s)
-        w2_l *= nu
-        w2_l += 2.0 * a * np.log(r)
-        w2_l -= math.log(2.0 * a + nu) + log_beta
-        np.exp(w2_l, out=w2_l)
-    s = np.square(r)
-    near = s > a / (a + nu)
-    n_near = np.count_nonzero(near)
-    out = np.empty_like(s)
-    if n_near < s.size:
-        far = ~near
-        up = sp.betainc(a, nu, s[far]) - w2_l[far]
-        out[far] = up if upper else 1.0 - up
-    if n_near:
-        low = sp.betainc(nu, a, one_s[near]) + w2_l[near]
-        out[near] = 1.0 - low if upper else low
-    deep = u > _DEEP_TAIL
-    if np.count_nonzero(deep):
-        # replaces the underflowed far values; the w2 term is O(s) smaller
-        log_s = -2.0 * np.arcsinh(u[deep])
-        up = w1 * np.exp(a * log_s - math.log(a) - log_beta)
-        out[deep] = up if upper else 1.0 - up
-    return np.clip(out, 0.0, 1.0).reshape(np.shape(y))
+    a, w2, log_al, near_c, far_c, y_near, y_mean, y_far = _beta_series(nu, k)
+
+    def share(piece, y):
+        # pieces 0 and 2 give the lower share on the near side, in z; 1 and 3
+        # the upper one on the far side, in s.  log z is -inf at y = 0, and
+        # r/2u is 0 at y = inf.
+        u = k * y
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = 1.0 / (np.hypot(1.0, u) + u)
+            if piece % 2:
+                x, log_z = r * r, -np.log1p(r / (2.0 * u))
+            else:
+                x = 2.0 * u * r
+                log_z = np.log(x)
+            big_l = np.exp(nu * log_z - 2.0 * a * np.arcsinh(u) - log_al)
+        if piece < 2:
+            c = far_c if piece else near_c
+            v = _rise(c, x)
+            v += c[0]
+            v *= big_l
+        else:
+            v = sp.betainc(a, nu, x) - w2 * big_l if piece % 2 else sp.betainc(nu, a, x) + w2 * big_l
+        return np.clip(1.0 - v if upper != piece % 2 else v, 0.0, 1.0)
+
+    if np.ndim(y) == 0:
+        y = np.float64(y)
+        return share(0 if y <= y_near else 1 if y >= y_far else 2 if y < y_mean else 3, y)
+    y = np.asarray(y, dtype=np.float64)
+    pieces = [y <= y_near, y >= y_far, (y > y_near) & (y < y_mean)]
+    pieces.append(~(pieces[0] | pieces[1] | pieces[2]))  # NaN too: betainc gives NaN
+    out = np.empty_like(y)
+    for piece, m in enumerate(pieces):
+        count = np.count_nonzero(m)
+        if count == y.size:
+            return share(piece, y)
+        if count:
+            out[m] = share(piece, y[m])
+    return out
 
 
 def _log_gamma_draw(gen, shape, size):

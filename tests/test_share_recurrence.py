@@ -22,7 +22,7 @@ from scipy.special import betainc
 
 from kappadist.core import _DEEP_TAIL, _gamma_share
 
-NUS = (0.5, 1.07, 1.5, 2.0, 2.5, 3.3)
+NUS = (0.5, 1.07, 1.5, 2.0, 2.5, 3.3, 70.0)
 KAPPAS = (1e-4, 1e-3, 0.01, 0.3, 0.9, 0.999)
 CASES = [(nu, k) for k in KAPPAS for nu in NUS if nu < 1.0 / k]
 
